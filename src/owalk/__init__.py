@@ -19,7 +19,6 @@ from .cospectral import (
     CospectralityCertificate,
     EigenvalueSupport,
     eigenvalue_support,
-    quarrel_power_check,
     strong_cospectrality,
 )
 from .errors import (
@@ -106,7 +105,6 @@ __all__ = [
     "parse_graph",
     "propagator_column",
     "quadratic_integer_profile",
-    "quarrel_power_check",
     "scan_pst",
     "serialize_graph",
     "square_free_part",

@@ -10,6 +10,7 @@ as b^2 * Delta with Delta square-free is what decides periodicity.
 from __future__ import annotations
 
 import math
+from collections.abc import Callable
 from dataclasses import dataclass
 
 from .errors import InconsistentExactCheckError
@@ -77,7 +78,8 @@ def char_poly(g: OrientedGraph) -> IntPolynomial:
     """Characteristic polynomial det(xI - A) with exact integer coefficients.
 
     Uses the Faddeev-LeVerrier recurrence; each division by the step index
-    is exact for integer matrices and is asserted.
+    is exact for integer matrices, and an inexact one raises
+    InconsistentExactCheckError.
     """
     n = g.n
     if n == 0:
@@ -93,7 +95,10 @@ def char_poly(g: OrientedGraph) -> IntPolynomial:
             m[i][i] += ck
         am = _matmul_int(a, m)
         trace = sum(am[i][i] for i in range(n))
-        assert trace % k == 0, "Faddeev-LeVerrier trace must divide exactly"
+        if trace % k:
+            raise InconsistentExactCheckError(
+                f"Faddeev-LeVerrier trace {trace} is not divisible by {k}"
+            )
         c[n - k] = -(trace // k)
     return IntPolynomial(tuple(c))
 
@@ -119,7 +124,7 @@ def square_free_part(m: int) -> int:
 def quadratic_integer_profile(
     y_squared_values,
     tol: float = 1e-6,
-    poly: IntPolynomial | None = None,
+    poly: IntPolynomial | Callable[[], IntPolynomial] | None = None,
 ) -> tuple[int, tuple[int, ...]] | None:
     """Recognize squared eigenvalue magnitudes as b^2 * Delta, Delta square-free.
 
@@ -129,12 +134,14 @@ def quadratic_integer_profile(
         Values |theta_r|^2 for the nonzero eigenvalues of interest.
     tol : float
         Absolute tolerance for integer recognition.
-    poly : IntPolynomial, optional
+    poly : IntPolynomial, or a function returning it, optional
         Characteristic polynomial of the graph.  When given, every
         recognized integer c is cross-checked to be a root of the integer
         polynomial obtained by substituting x^2 = -y; disagreement raises
         InconsistentExactCheckError (float rounding and exact arithmetic
-        must not contradict each other).
+        must not contradict each other).  A function is called only once
+        every value has been recognized as an integer, so a costly
+        polynomial is never computed for values the float test rejects.
 
     Returns
     -------
@@ -153,12 +160,15 @@ def quadratic_integer_profile(
     if not recognized:
         return None
     if poly is not None:
+        if not isinstance(poly, IntPolynomial):
+            poly = poly()
         _, even = poly.even_part()
         coeffs = even.coeffs
-        assert all(c == 0 for c in coeffs[1::2]), (
-            "characteristic polynomial of a skew-symmetric matrix must have "
-            "only even-degree terms after stripping powers of x"
-        )
+        if any(coeffs[1::2]):
+            raise InconsistentExactCheckError(
+                "characteristic polynomial of a skew-symmetric matrix must have "
+                "only even-degree terms after stripping powers of x"
+            )
         reduced = IntPolynomial(coeffs[0::2])  # q(z) with z = x^2
         for c in recognized:
             if reduced(-c) != 0:
@@ -173,6 +183,9 @@ def quadratic_integer_profile(
     b_values = []
     for c in recognized:
         b = math.isqrt(c // delta)
-        assert b * b * delta == c
+        if b * b * delta != c:
+            raise InconsistentExactCheckError(
+                f"{c} is not b^2 * {delta} for an integer b"
+            )
         b_values.append(b)
     return delta, tuple(sorted(set(b_values)))

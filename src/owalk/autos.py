@@ -17,11 +17,12 @@ identity-with-all-+1 matrix unless nothing else exists.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import SearchBudgetExceededError
+from .errors import SearchBudgetExceededError, VerificationFailedError
 from .graph import OrientedGraph
 
 __all__ = [
@@ -55,16 +56,22 @@ class SwitchingAutomorphism:
 
     @property
     def order(self) -> int:
-        """Smallest k >= 1 with the k-th matrix power equal to the identity."""
-        n = len(self.perm)
-        identity = SwitchingAutomorphism(tuple(range(n)), (1,) * n)
-        power = self
-        k = 1
-        while power != identity:
-            power = compose(self, power)
-            k += 1
-            assert k <= 10**6, "runaway order computation"
-        return k
+        """Smallest k >= 1 with the k-th matrix power equal to the identity.
+
+        Over a cycle of length L, P^L e_u is e_u times the product of the
+        signs of the cycle's vertices, so each cycle needs L steps, or 2L
+        when that product is -1; the order is the lcm over the cycles.
+        """
+        seen: set[int] = set()
+        cycle_orders = []
+        for u in range(len(self.perm)):
+            if u in seen:
+                continue
+            cycle = orbit(self, u)
+            seen.update(cycle)
+            sign = math.prod(self.signs[w] for w in cycle)
+            cycle_orders.append(len(cycle) if sign == 1 else 2 * len(cycle))
+        return math.lcm(*cycle_orders)
 
 
 def compose(
@@ -217,7 +224,10 @@ def find_switching_automorphisms(
         SwitchingAutomorphism(perm, signs) for perm, signs in sorted(found)
     ]
     for p in autos:
-        assert is_switching_automorphism(g, p)
+        if not is_switching_automorphism(g, p):
+            raise VerificationFailedError(
+                f"search produced perm={p.perm} signs={p.signs}, which fails P^T A P = A"
+            )
     trivial = SwitchingAutomorphism(tuple(range(n)), (1,) * n)
     nontrivial = [p for p in autos if p != trivial]
     result = nontrivial if nontrivial else autos

@@ -22,15 +22,13 @@ from fractions import Fraction
 import numpy as np
 
 from . import __version__
-from .arithmetic import IntPolynomial, char_poly
+from .arithmetic import IntPolynomial
 from .autos import find_switching_automorphisms
 from .cospectral import eigenvalue_support, strong_cospectrality
 from .errors import (
     DisconnectedGraphError,
     InputError,
-    InternalInconsistencyError,
     OwalkError,
-    SearchBudgetExceededError,
     UnknownExampleError,
     VertexOutOfRangeError,
     VerificationFailedError,
@@ -82,7 +80,8 @@ def _emit_json(obj, indent: int = 0) -> str:
             return "{}"
         items = []
         for key, value in obj.items():
-            assert isinstance(key, str), f"non-string JSON key {key!r}"
+            if not isinstance(key, str):
+                raise TypeError(f"cannot serialize non-string key {key!r} into the report")
             items.append(
                 "  " * (indent + 1) + json.dumps(key) + ": " + _emit_json(value, indent + 1)
             )
@@ -178,7 +177,7 @@ def _sigma_of(sd, vertex: int) -> float | None:
 
 def _cmd_spectrum(args, g, report, lines) -> bool:
     sd = decompose(g)
-    poly = char_poly(g)
+    poly = sd.char_poly
     report["spectrum"] = {
         "char_poly_coeffs_low_to_high": list(poly.coeffs),
         "eigenvalues": [
@@ -406,10 +405,6 @@ def _cmd_autos(args, g, report, lines) -> bool:
 
 def _cmd_evolve(args, g, report, lines) -> bool:
     _check_vertex(g, args.source, "source")
-    if args.steps < 2:
-        raise InputError(f"evolve needs --steps >= 2, got {args.steps}")
-    if args.t_max <= 0:
-        raise InputError(f"evolve needs --t-max > 0, got {args.t_max}")
     sd = decompose(g)
     times = np.linspace(0.0, args.t_max, args.steps)
     rows = []
@@ -542,6 +537,23 @@ _HANDLERS = {
 }
 
 
+def _check_options(args) -> None:
+    """Reject option values under which a verdict would mean nothing."""
+    for flag in ("tol", "t_max", "time"):
+        value = getattr(args, flag, None)
+        if value is None:
+            continue
+        name = "--" + flag.replace("_", "-")
+        if not math.isfinite(value):
+            raise InputError(f"{name} must be finite, got {value!r}")
+        if flag != "time" and value <= 0:
+            raise InputError(f"{name} must be > 0, got {value!r}")
+    if getattr(args, "grid", 3) < 3:
+        raise InputError(f"--grid must be >= 3, got {args.grid}")
+    if getattr(args, "steps", 2) < 2:
+        raise InputError(f"--steps must be >= 2, got {args.steps}")
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
@@ -556,6 +568,7 @@ def main(argv: list[str] | None = None) -> int:
     }
     lines: list[str] = []
     try:
+        _check_options(args)
         if args.command == "example":
             found = _cmd_example(args, report, lines)
         else:
@@ -571,9 +584,6 @@ def main(argv: list[str] | None = None) -> int:
     except InputError as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 2
-    except (InternalInconsistencyError, SearchBudgetExceededError) as exc:
-        print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
-        return 3
     except OwalkError as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 3

@@ -16,7 +16,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegenerateProjectionError, SupportMismatchError
 from .spectral import SpectralDecomposition
 
 __all__ = [
@@ -24,7 +23,6 @@ __all__ = [
     "CospectralityCertificate",
     "eigenvalue_support",
     "strong_cospectrality",
-    "quarrel_power_check",
 ]
 
 
@@ -62,17 +60,19 @@ class CospectralityCertificate:
     residual: float
 
 
+def _members(cols: np.ndarray, threshold: float) -> tuple[int, ...]:
+    """Indices r whose row E_r e_a of ``cols`` has norm above threshold."""
+    norms = np.linalg.norm(cols, axis=1)
+    return tuple(int(r) for r in np.flatnonzero(norms > threshold))
+
+
 def eigenvalue_support(
     sd: SpectralDecomposition, a: int, threshold: float | None = None
 ) -> EigenvalueSupport:
     """Support of vertex ``a``: eigenvalue indices whose idempotent sees it."""
     if threshold is None:
         threshold = default_support_threshold(sd.n)
-    members = tuple(
-        r
-        for r, e_r in enumerate(sd.idempotents)
-        if np.linalg.norm(e_r[:, a]) > threshold
-    )
+    members = _members(sd.columns(a), threshold)
     return EigenvalueSupport(vertex=a, members=members, threshold=threshold)
 
 
@@ -90,30 +90,22 @@ def strong_cospectrality(
     """
     if threshold is None:
         threshold = default_support_threshold(sd.n)
-    support_a = eigenvalue_support(sd, a, threshold)
-    support_b = eigenvalue_support(sd, b, threshold)
-    if support_a.members != support_b.members:
+    cols_a, cols_b = sd.columns(a), sd.columns(b)
+    support = _members(cols_a, threshold)
+    if support != _members(cols_b, threshold):
         return None
+    inners = sd.pair_coeffs(a, b)
     alphas: dict[int, complex] = {}
     quarrels: dict[int, float] = {}
     residual = 0.0
-    for r in support_a.members:
-        col_a = sd.idempotents[r][:, a]
-        col_b = sd.idempotents[r][:, b]
-        norm_a = np.linalg.norm(col_a)
-        norm_b = np.linalg.norm(col_b)
-        if norm_a <= threshold or norm_b <= threshold:
-            raise DegenerateProjectionError(
-                f"support index {r} has projection norms {norm_a:.3e}, "
-                f"{norm_b:.3e} at or below threshold {threshold:.3e}"
-            )
+    for r in support:
         # e_b^T E_r e_a equals <E_r e_b, E_r e_a>; its phase is alpha_r
         # whenever the two columns really are unimodular multiples.
-        inner = complex(sd.idempotents[r][b, a])
+        inner = complex(inners[r])
         if abs(inner) <= threshold * threshold:
             return None
         alpha = inner / abs(inner)
-        residual = max(residual, float(np.linalg.norm(col_a - alpha * col_b)))
+        residual = max(residual, float(np.linalg.norm(cols_a[r] - alpha * cols_b[r])))
         if residual > tol:
             return None
         q = cmath.phase(alpha) / math.pi
@@ -124,33 +116,8 @@ def strong_cospectrality(
     return CospectralityCertificate(
         a=a,
         b=b,
-        support=support_a.members,
+        support=support,
         alphas=alphas,
         quarrels=quarrels,
         residual=residual,
     )
-
-
-def quarrel_power_check(
-    base: CospectralityCertificate,
-    n: int,
-    power: CospectralityCertificate,
-    tol: float = 1e-7,
-) -> bool:
-    """Check exp(i*pi*q_r(a, c)) = exp(i*pi*n*q_r(a, b)) across the support.
-
-    ``base`` certifies (a, b) and ``power`` certifies (a, c) where c is
-    reached from b by applying the same symmetry n-1 more times.  The
-    comparison is made on the unit circle, so quarrel branch choices
-    cannot produce false mismatches.
-    """
-    if base.support != power.support:
-        raise SupportMismatchError(
-            f"supports differ: {base.support} vs {power.support}"
-        )
-    for r in base.support:
-        expected = cmath.exp(1j * math.pi * n * base.quarrels[r])
-        actual = power.alphas[r]
-        if abs(expected - actual) >= tol:
-            return False
-    return True

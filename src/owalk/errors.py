@@ -22,8 +22,6 @@ __all__ = [
     "AmbiguousGroupingError",
     "NonRealResultError",
     "InconsistentExactCheckError",
-    "DegenerateProjectionError",
-    "SupportMismatchError",
     "VerificationFailedError",
     "SearchBudgetExceededError",
     "NotStronglyCospectralError",
@@ -83,14 +81,6 @@ class NonRealResultError(InternalInconsistencyError):
 
 class InconsistentExactCheckError(InternalInconsistencyError):
     """Float rounding and the exact integer polynomial disagree."""
-
-
-class DegenerateProjectionError(InternalInconsistencyError):
-    """A projection claimed in the support has norm below threshold."""
-
-
-class SupportMismatchError(InternalInconsistencyError):
-    """Two certificates that must share an eigenvalue support do not."""
 
 
 class VerificationFailedError(InternalInconsistencyError):

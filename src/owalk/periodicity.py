@@ -57,7 +57,8 @@ def is_periodic(
     Requires a connected graph on at least two vertices.  Returns None
     when the support's nonzero eigenvalues do not share a square-free
     Delta; the integer recognition is cross-checked against the exact
-    characteristic polynomial.
+    characteristic polynomial, which is computed (once per decomposition)
+    only when every value has been recognized as an integer.
     """
     g = sd.graph
     if g.n < 2 or not is_connected(g):
@@ -70,7 +71,7 @@ def is_periodic(
         return None
     squares = [float(sd.eigenvalues[r]) ** 2 for r in nonzero]
     profile = arithmetic.quadratic_integer_profile(
-        squares, tol=tol, poly=arithmetic.char_poly(g)
+        squares, tol=tol, poly=lambda: sd.char_poly
     )
     if profile is None:
         return None

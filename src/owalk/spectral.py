@@ -17,9 +17,11 @@ from a to b after time t is U(t)[b, a].
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
+from . import arithmetic
 from .errors import (
     AmbiguousGroupingError,
     EigensolverFailureError,
@@ -74,9 +76,18 @@ class SpectralDecomposition:
     def n(self) -> int:
         return self.graph.n
 
-    def support_column(self, r: int, a: int) -> np.ndarray:
-        """E_r applied to the standard basis vector of vertex ``a``."""
-        return self.idempotents[r][:, a]
+    def pair_coeffs(self, a: int, b: int) -> np.ndarray:
+        """E_r[b, a] over r, so that U(t)[b, a] = sum_r exp(-i*t*y_r) * E_r[b, a]."""
+        return np.array([e_r[b, a] for e_r in self.idempotents])
+
+    def columns(self, a: int) -> np.ndarray:
+        """R x n array whose row r is E_r e_a."""
+        return np.array([e_r[:, a] for e_r in self.idempotents])
+
+    @cached_property
+    def char_poly(self) -> arithmetic.IntPolynomial:
+        """Exact characteristic polynomial of the graph, computed on first use."""
+        return arithmetic.char_poly(self.graph)
 
 
 def decompose(
@@ -122,13 +133,6 @@ def decompose(
     )
 
 
-def _propagator_complex(sd: SpectralDecomposition, t: float) -> np.ndarray:
-    y = sd.eigenvalues
-    out = np.zeros((sd.n, sd.n), dtype=np.complex128)
-    for phase, e_r in zip(np.exp(-1j * t * y), sd.idempotents):
-        out += phase * e_r
-    return out
-
 def transition_matrix(
     sd: SpectralDecomposition, t: float, realness_tol: float = REALNESS_TOL
 ) -> np.ndarray:
@@ -137,7 +141,9 @@ def transition_matrix(
     The imaginary parts of the eigenfunction sum must vanish; anything
     above ``realness_tol`` raises NonRealResultError.
     """
-    u = _propagator_complex(sd, t)
+    u = np.zeros((sd.n, sd.n), dtype=np.complex128)
+    for phase, e_r in zip(np.exp(-1j * t * sd.eigenvalues), sd.idempotents):
+        u += phase * e_r
     worst = float(abs(u.imag).max()) if sd.n else 0.0
     if worst > realness_tol:
         raise NonRealResultError(
@@ -148,21 +154,19 @@ def transition_matrix(
 
 def propagator_column(sd: SpectralDecomposition, a: int, t: float) -> np.ndarray:
     """Column a of U(t), i.e. the state reached from vertex ``a``, complex."""
-    y = sd.eigenvalues
-    cols = np.stack([e_r[:, a] for e_r in sd.idempotents], axis=1)
-    return cols @ np.exp(-1j * t * y)
+    # summed as a C-ordered n x R product, which fixes the rounding of the
+    # reported probabilities (other layouts differ in the last bits)
+    cols = np.ascontiguousarray(sd.columns(a).T)
+    return cols @ np.exp(-1j * t * sd.eigenvalues)
 
 
 def amplitude_samples(
     sd: SpectralDecomposition, a: int, b: int, times: np.ndarray
 ) -> np.ndarray:
     """U(t)[b, a] evaluated on an array of times (vectorized)."""
-    coeffs = np.array([e_r[b, a] for e_r in sd.idempotents])
-    return np.exp(-1j * np.outer(times, sd.eigenvalues)) @ coeffs
+    return np.exp(-1j * np.outer(times, sd.eigenvalues)) @ sd.pair_coeffs(a, b)
 
 
 def fidelity(sd: SpectralDecomposition, a: int, b: int, t: float) -> float:
     """Transfer fidelity |U(t)[b, a]| from vertex a to vertex b."""
-    coeffs = np.array([e_r[b, a] for e_r in sd.idempotents])
-    amp = np.exp(-1j * t * sd.eigenvalues) @ coeffs
-    return float(abs(amp))
+    return float(abs(np.exp(-1j * t * sd.eigenvalues) @ sd.pair_coeffs(a, b)))

@@ -17,7 +17,6 @@ orbit, at times that are multiples of sigma/k.
 
 from __future__ import annotations
 
-import logging
 import math
 from dataclasses import dataclass
 
@@ -26,6 +25,7 @@ import numpy as np
 from .autos import SwitchingAutomorphism, find_switching_automorphisms, orbit
 from .cospectral import CospectralityCertificate, eigenvalue_support, strong_cospectrality
 from .errors import (
+    NonRealResultError,
     NoValidMError,
     NotCospectralError,
     NotPeriodicError,
@@ -34,6 +34,7 @@ from .errors import (
 )
 from .periodicity import PeriodicityCertificate, is_periodic
 from .spectral import (
+    REALNESS_TOL,
     SpectralDecomposition,
     amplitude_samples,
     propagator_column,
@@ -48,8 +49,6 @@ __all__ = [
     "complete_char",
     "mst_search",
 ]
-
-logger = logging.getLogger(__name__)
 
 DEFAULT_SCAN_TMAX = 20.0
 DEFAULT_SCAN_GRID = 200_000
@@ -98,14 +97,18 @@ def verify_pst(
     """Certificate that U(tau) e_a = phase * e_b, or None.
 
     The realized column must be real (transfer phases are +-1, never a
-    general unimodular number); the better of the two signs is kept when
-    its residual beats ``tol``.
+    general unimodular number, and NonRealResultError is raised otherwise);
+    the better of the two signs is kept when its residual beats ``tol``.
     """
     col = propagator_column(sd, a, tau)
+    worst = float(abs(col.imag).max())
+    if not worst < REALNESS_TOL:
+        raise NonRealResultError(
+            f"propagator column at t = {tau!r} carries imaginary parts up to {worst:.3e}"
+        )
     target = np.zeros(sd.n)
     target[b] = 1.0
     real_col = col.real
-    assert float(abs(col.imag).max()) < 1e-8, "propagator column must be real"
     res_plus = float(np.linalg.norm(real_col - target))
     res_minus = float(np.linalg.norm(real_col + target))
     phase, residual = (1, res_plus) if res_plus <= res_minus else (-1, res_minus)
@@ -133,9 +136,20 @@ def first_char_check(
         raise NotStronglyCospectralError(
             "first characterization needs a strong cospectrality certificate"
         )
+    values = [
+        cospec.quarrels[r] - tau * float(sd.eigenvalues[r]) / math.pi
+        for r in cospec.support
+    ]
+    parity = _parity_of(values, tol)
+    if parity is None:
+        return None
+    return "odd" if parity else "even"
+
+
+def _parity_of(values: list[float], tol: float) -> int | None:
+    """Common parity of near-integer values: 0 even, 1 odd, None otherwise."""
     parity: int | None = None
-    for r in cospec.support:
-        v = cospec.quarrels[r] - tau * float(sd.eigenvalues[r]) / math.pi
+    for v in values:
         k = round(v)
         if abs(v - k) > tol:
             return None
@@ -143,7 +157,7 @@ def first_char_check(
             parity = k % 2
         elif parity != k % 2:
             return None
-    return "odd" if parity else "even"
+    return parity
 
 
 def _refine_peak(
@@ -155,7 +169,7 @@ def _refine_peak(
     derivative of |amplitude|^2 polish the root (pure golden stalls once
     the fidelity is flat to rounding error).
     """
-    coeffs = np.array([e_r[b, a] for e_r in sd.idempotents])
+    coeffs = sd.pair_coeffs(a, b)
     y = sd.eigenvalues
 
     def fid2(t: float) -> float:
@@ -236,20 +250,6 @@ def scan_pst(
     return certificates
 
 
-def _parity_of(values: list[float], tol: float) -> int | None:
-    """Common parity of near-integer values: 0 even, 1 odd, None otherwise."""
-    parity: int | None = None
-    for v in values:
-        k = round(v)
-        if abs(v - k) > tol:
-            return None
-        if parity is None:
-            parity = k % 2
-        elif parity != k % 2:
-            return None
-    return parity
-
-
 def complete_char(
     sd: SpectralDecomposition,
     a: int,
@@ -269,9 +269,7 @@ def complete_char(
     2 for phase +1 (the c-term is sigma*y_r/(k*pi) written exactly).  A
     passing m implies PST from a to p^m(a) at sigma/k; every ordered
     orbit pair is then verified numerically, and any numeric failure
-    after a parity pass raises VerificationFailedError.  The reversed
-    sign reading of the criterion is evaluated as well and a disagreement
-    is logged (the readings correspond under m -> k - m).
+    after a parity pass raises VerificationFailedError.
     """
     orb = orbit(p, a)
     k = len(orb)
@@ -291,29 +289,18 @@ def complete_char(
     for m in range(1, k):
         if math.gcd(m, k) != 1:
             continue
-        minus_terms = []
-        plus_terms = []
+        terms = []
         for r in cospec.support:
             y = float(sd.eigenvalues[r])
             if y == 0.0:
                 v_term = 0.0
             else:
                 v_term = c * math.copysign(period.b_coeffs[r], y) / (period.g * k)
-            minus_terms.append(m * cospec.quarrels[r] - v_term)
-            plus_terms.append(m * cospec.quarrels[r] + v_term)
-        minus_parity = _parity_of(minus_terms, parity_tol)
-        plus_parity = _parity_of(plus_terms, parity_tol)
-        if (minus_parity is None) != (plus_parity is None):
-            logger.debug(
-                "parity sign readings disagree at m=%d (minus=%s, plus=%s); "
-                "the readings swap under m -> k - m",
-                m,
-                minus_parity,
-                plus_parity,
-            )
-        if minus_parity is not None:
+            terms.append(m * cospec.quarrels[r] - v_term)
+        parity = _parity_of(terms, parity_tol)
+        if parity is not None:
             chosen_m = m
-            expected_phase = -1 if minus_parity else 1
+            expected_phase = -1 if parity else 1
             break
     if chosen_m is None:
         raise NoValidMError(

@@ -14,6 +14,19 @@ def random_oriented_graph(rng, n, p=0.6):
     return build_graph(n, edges)
 
 
+def k3_power(d):
+    """Cartesian power of the oriented triangle, d factors (n = 3**d).
+
+    Vertex v has base-3 digits; each digit steps i -> i+1 (mod 3).
+    """
+    edges = []
+    for v in range(3**d):
+        for i in range(d):
+            digit = (v // 3**i) % 3
+            edges.append((v, v + ((digit + 1) % 3 - digit) * 3**i))
+    return build_graph(3**d, edges)
+
+
 def random_connected_graph(rng, n_max=5, p=0.6):
     while True:
         n = int(rng.integers(2, n_max + 1))

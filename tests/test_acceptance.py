@@ -111,9 +111,11 @@ def test_criterion_4_irrational5():
     # (equivalently the 3 -> 4 time under the transposed convention
     # exp(tA)); the two candidate times sum to sigma = 2*pi/sqrt(7).
     # Criterion 1 (0 -> 1 on k3 at 2*pi/(3*sqrt(3)), not 4*pi/(3*sqrt(3)))
-    # pins the convention used here, so this time clause and criterion 1
-    # cannot both hold.  The clause is kept as stated and fails honestly;
-    # the scan instead finds (pi + arccos(3/4))/sqrt(7).
+    # pins the convention used here.  The conflict lies in the builtin's
+    # orientation of the edge {3, 4}: oriented 4 -> 3, the 3 -> 4 transfer
+    # lands on the target and criterion 1 is untouched.  The builtin and
+    # the clause are kept as stated, and the clause fails honestly; the
+    # scan instead finds (pi + arccos(3/4))/sqrt(7).
     target = (math.pi - math.acos(3 / 4)) / math.sqrt(7)
     pst, dt1 = _cli_json("pst", "irrational5", "3", "4", "--scan")
     per, dt2 = _cli_json("periodic", "irrational5", "3")

@@ -4,6 +4,7 @@ import pytest
 from owalk import (
     SwitchingAutomorphism,
     build_graph,
+    builtin_example,
     compose,
     decompose,
     find_switching_automorphisms,
@@ -13,7 +14,7 @@ from owalk import (
 )
 from owalk.errors import SearchBudgetExceededError
 
-from conftest import random_oriented_graph
+from conftest import k3_power, random_oriented_graph
 
 
 def test_k3_census(k3):
@@ -94,6 +95,18 @@ def test_compose_and_order():
     assert mixed.perm == (1, 2, 0)
     assert mixed.signs == (-1, -1, -1)
     assert mixed.order == 6
+
+
+@pytest.mark.parametrize("name", ["k3", "mst8", "k3xk3"])
+def test_order_is_smallest_identity_power(name):
+    g = k3_power(2) if name == "k3xk3" else builtin_example(name)
+    n = g.n
+    identity = SwitchingAutomorphism(tuple(range(n)), (1,) * n)
+    for p in find_switching_automorphisms(g):
+        power, k = p, 1
+        while power != identity:
+            power, k = compose(p, power), k + 1
+        assert p.order == k, (p, k)
 
 
 def test_compose_matches_matrix_product(rng):

@@ -1,9 +1,18 @@
+import io
 import json
 import math
 import subprocess
 import sys
+from contextlib import redirect_stdout
 
+import numpy as np
 import pytest
+
+import owalk.arithmetic
+from owalk import serialize_graph
+from owalk.cli import main
+
+from conftest import k3_power, random_oriented_graph
 
 
 def run_cli(*args, check=False):
@@ -180,10 +189,22 @@ def test_file_input_matches_builtin(tmp_path):
 def test_usage_errors_exit_2():
     assert run_cli("spectrum", "nosuchgraph").returncode == 2
     assert run_cli("pst", "k3", "0", "9", "--scan").returncode == 2
-    assert run_cli("evolve", "k3", "--source", "0",
-                   "--t-max", "0", "--steps", "5").returncode == 2
-    assert run_cli("evolve", "k3", "--source", "0",
-                   "--t-max", "1", "--steps", "1").returncode == 2
+    # option values under which a verdict would be meaningless: each one
+    # must be refused, never answered with a silent negative or a traceback
+    for args in [
+        ("evolve", "k3", "--source", "0", "--t-max", "0", "--steps", "5"),
+        ("evolve", "k3", "--source", "0", "--t-max", "1", "--steps", "1"),
+        ("pst", "k3", "0", "1", "--tol", "-1"),
+        ("pst", "k3", "0", "1", "--tol", "nan"),
+        ("periodic", "k3", "0", "--tol", "0"),
+        ("pst", "k3", "0", "1", "--grid", "2"),
+        ("pst", "k3", "0", "1", "--t-max", "-1"),
+        ("pst", "k3", "0", "1", "--t-max", "inf"),
+        ("pst", "k3", "0", "1", "--time", "nan"),
+    ]:
+        proc = run_cli(*args)
+        assert proc.returncode == 2, (args, proc.returncode, proc.stderr)
+        assert "InputError" in proc.stderr, (args, proc.stderr)
 
 
 def test_malformed_file_exit_2(tmp_path):
@@ -217,3 +238,39 @@ def test_exit_code_3_never_on_builtins(name, n):
     for args in invocations:
         proc = run_cli(*args)
         assert proc.returncode in (0, 1), (args, proc.returncode, proc.stderr)
+
+
+def test_char_poly_computed_lazily_and_once(tmp_path, monkeypatch):
+    # the exact polynomial is needed only once some support's squared
+    # eigenvalues are all recognized as integers, and then once per graph
+    calls = []
+    real = owalk.arithmetic.char_poly
+
+    def counting(g):
+        calls.append(g.n)
+        return real(g)
+
+    def run(*argv):
+        calls.clear()
+        out = io.StringIO()
+        with redirect_stdout(out):
+            assert main([*argv, "--json"]) == 0
+        return json.loads(out.getvalue())
+
+    monkeypatch.setattr(owalk.arithmetic, "char_poly", counting)
+    random64 = tmp_path / "random64.og"
+    random64.write_text(
+        serialize_graph(random_oriented_graph(np.random.default_rng(7), 64))
+    )
+    k3pow3 = tmp_path / "k3pow3.og"
+    k3pow3.write_text(serialize_graph(k3_power(3)))
+
+    report = run("periodic", str(random64), "5")
+    assert report["periodicity"][0]["periodic"] is False
+    assert calls == []
+    report = run("pst", str(random64), "0", "1", "--t-max", "5", "--grid", "5000")
+    assert report["transfers"] == []
+    assert calls == []
+    report = run("mst", str(k3pow3))
+    assert report["mst"]
+    assert calls == [27]

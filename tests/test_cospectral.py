@@ -2,10 +2,8 @@ import cmath
 import math
 
 import numpy as np
-import pytest
 
-from owalk import decompose, eigenvalue_support, quarrel_power_check, strong_cospectrality
-from owalk.errors import SupportMismatchError
+from owalk import decompose, eigenvalue_support, strong_cospectrality
 
 from conftest import random_oriented_graph
 
@@ -99,26 +97,6 @@ def test_quarrel_branch_convention(k3_sd, irrational5_sd):
             q = cert.quarrels[r]
             assert -1.0 < q <= 1.0
             assert abs(cert.alphas[r] - cmath.exp(1j * math.pi * q)) < 1e-9
-
-
-def test_quarrel_power_check_k3(k3_sd):
-    base = strong_cospectrality(k3_sd, 0, 1)   # b = P 0
-    power = strong_cospectrality(k3_sd, 0, 2)  # c = P^2 0
-    assert quarrel_power_check(base, 2, power)
-    assert quarrel_power_check(base, 1, base)
-    assert not quarrel_power_check(base, 1, power)
-
-
-def test_quarrel_power_check_support_mismatch():
-    # oriented path 0 -> 1 -> 2: the center vertex misses the kernel
-    from owalk import build_graph
-
-    sd = decompose(build_graph(3, [(0, 1), (1, 2)]))
-    end = strong_cospectrality(sd, 0, 0)
-    center = strong_cospectrality(sd, 1, 1)
-    assert end.support != center.support
-    with pytest.raises(SupportMismatchError):
-        quarrel_power_check(end, 2, center)
 
 
 def test_vertex_with_itself(k3_sd):

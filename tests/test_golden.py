@@ -1,0 +1,101 @@
+"""Golden ``--json`` reports of the CLI on the builtin examples.
+
+Each report is compared field by field with its recording under
+``tests/golden/``.  Every field must match exactly, except ``residual``
+values, which may move by at most 1e-15 (they are norms of differences
+near rounding level and depend on the order of floating-point sums).
+
+After a deliberate change of the reports, regenerate the recordings with
+
+    PYTHONPATH=src python tests/test_golden.py
+"""
+
+import io
+import json
+import math
+from contextlib import redirect_stdout
+from pathlib import Path
+
+import pytest
+
+from owalk.cli import main
+
+GOLDEN_DIR = Path(__file__).parent / "golden"
+RESIDUAL_TOL = 1e-15
+TAU_K3 = repr(2 * math.pi / (3 * math.sqrt(3)))
+
+COMMANDS = [
+    ["spectrum", "k3"],
+    ["spectrum", "irrational5"],
+    ["spectrum", "mst8"],
+    ["support", "k3", "0"],
+    ["support", "irrational5", "3"],
+    ["support", "mst8", "0"],
+    ["cospectral", "k3", "0", "1"],
+    ["cospectral", "irrational5", "3", "4"],
+    ["cospectral", "irrational5", "0", "1"],
+    ["cospectral", "mst8", "0", "1"],
+    ["periodic", "k3", "0"],
+    ["periodic", "irrational5", "3"],
+    ["periodic", "irrational5", "0"],
+    ["periodic", "mst8", "0"],
+    ["pst", "k3", "0", "1", "--scan", "--t-max", "10"],
+    ["pst", "irrational5", "3", "4", "--scan", "--t-max", "5"],
+    ["pst", "mst8", "0", "1", "--scan", "--t-max", "4"],
+    ["pst", "k3", "0", "1", "--time", TAU_K3],
+    ["pst", "mst8", "0", "6", "--time", repr(math.pi / 4)],
+    ["mst", "k3"],
+    ["mst", "irrational5"],
+    ["mst", "mst8"],
+    ["autos", "k3"],
+    ["autos", "mst8"],
+    ["evolve", "k3", "--source", "0", "--t-max", "3", "--steps", "7"],
+    ["evolve", "mst8", "--source", "0", "--t-max", "2", "--steps", "5"],
+    ["example", "irrational5"],
+]
+
+
+def _slug(argv):
+    return "_".join(arg if arg != TAU_K3 else "tau" for arg in argv).replace(
+        "-", ""
+    )
+
+
+def _run(argv):
+    out = io.StringIO()
+    with redirect_stdout(out):
+        code = main([*argv, "--json"])
+    return code, json.loads(out.getvalue())
+
+
+def _compare(got, want, path="$"):
+    assert type(got) is type(want), f"{path}: {got!r} vs {want!r}"
+    if isinstance(want, dict):
+        assert list(got) == list(want), f"{path}: keys {list(got)} vs {list(want)}"
+        for key in want:
+            _compare(got[key], want[key], f"{path}.{key}")
+    elif isinstance(want, list):
+        assert len(got) == len(want), f"{path}: length {len(got)} vs {len(want)}"
+        for i, (g, w) in enumerate(zip(got, want)):
+            _compare(g, w, f"{path}[{i}]")
+    elif path.endswith(".residual"):
+        assert abs(got - want) <= RESIDUAL_TOL, f"{path}: {got!r} vs {want!r}"
+    else:
+        assert got == want, f"{path}: {got!r} vs {want!r}"
+
+
+@pytest.mark.parametrize("argv", COMMANDS, ids=_slug)
+def test_report_matches_golden(argv):
+    recorded = json.loads((GOLDEN_DIR / f"{_slug(argv)}.json").read_text())
+    code, report = _run(argv)
+    assert code == recorded["exit_code"]
+    _compare(report, recorded["report"])
+
+
+if __name__ == "__main__":
+    GOLDEN_DIR.mkdir(exist_ok=True)
+    for argv in COMMANDS:
+        code, report = _run(argv)
+        record = {"argv": argv, "exit_code": code, "report": report}
+        path = GOLDEN_DIR / f"{_slug(argv)}.json"
+        path.write_text(json.dumps(record, indent=1) + "\n")
