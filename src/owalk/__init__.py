@@ -46,9 +46,7 @@ from .graph import (
 from .periodicity import PeriodicityCertificate, is_periodic, verify_period
 from .spectral import (
     SpectralDecomposition,
-    amplitude_samples,
     decompose,
-    fidelity,
     propagator_column,
     transition_matrix,
 )
@@ -86,7 +84,6 @@ __all__ = [
     "SwitchingAutomorphism",
     "TransferCertificate",
     "VerificationFailedError",
-    "amplitude_samples",
     "build_graph",
     "builtin_example",
     "char_poly",
@@ -94,7 +91,6 @@ __all__ = [
     "compose",
     "decompose",
     "eigenvalue_support",
-    "fidelity",
     "find_switching_automorphisms",
     "first_char_check",
     "is_connected",

@@ -139,7 +139,6 @@ def _assignment_order(g: OrientedGraph) -> list[int]:
 
 def find_switching_automorphisms(
     g: OrientedGraph,
-    limit: int | None = None,
     node_budget: int = DEFAULT_NODE_BUDGET,
 ) -> list[SwitchingAutomorphism]:
     """Enumerate switching automorphisms by backtracking.
@@ -152,8 +151,8 @@ def find_switching_automorphisms(
 
     Results are sorted lexicographically by (perm, signs).  The identity
     permutation with all +1 signs is omitted unless it is the only
-    automorphism.  ``limit`` truncates the sorted list; ``node_budget``
-    bounds the number of search steps (SearchBudgetExceededError).
+    automorphism.  ``node_budget`` bounds the number of search steps
+    (SearchBudgetExceededError).
     """
     n = g.n
     if n == 0:
@@ -230,7 +229,4 @@ def find_switching_automorphisms(
             )
     trivial = SwitchingAutomorphism(tuple(range(n)), (1,) * n)
     nontrivial = [p for p in autos if p != trivial]
-    result = nontrivial if nontrivial else autos
-    if limit is not None:
-        result = result[:limit]
-    return result
+    return nontrivial if nontrivial else autos

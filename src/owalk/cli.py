@@ -290,9 +290,7 @@ def _cmd_pst(args, g, report, lines) -> bool:
         cert = verify_pst(sd, args.a, args.b, args.time, tol=args.eff_tol)
         certs = [] if cert is None else [cert]
     else:
-        certs = scan_pst(
-            sd, args.a, args.b, t_max=args.t_max, grid=args.grid, tol=args.eff_tol
-        )
+        certs = scan_pst(sd, args.a, args.b, t_max=args.t_max, tol=args.eff_tol)
     sigma = _sigma_of(sd, args.a)
     entries = []
     for cert in certs:
@@ -502,7 +500,6 @@ def _build_parser() -> argparse.ArgumentParser:
         "--scan", action="store_true", help="scan (0, t_max] for transfers (default)"
     )
     p_pst.add_argument("--t-max", type=float, default=20.0, help="scan horizon")
-    p_pst.add_argument("--grid", type=int, default=200_000, help="scan grid points")
     p_mst = sub.add_parser(
         "mst",
         parents=[common, graphed],
@@ -548,8 +545,6 @@ def _check_options(args) -> None:
             raise InputError(f"{name} must be finite, got {value!r}")
         if flag != "time" and value <= 0:
             raise InputError(f"{name} must be > 0, got {value!r}")
-    if getattr(args, "grid", 3) < 3:
-        raise InputError(f"--grid must be >= 3, got {args.grid}")
     if getattr(args, "steps", 2) < 2:
         raise InputError(f"--steps must be >= 2, got {args.steps}")
 

@@ -66,12 +66,9 @@ def _members(cols: np.ndarray, threshold: float) -> tuple[int, ...]:
     return tuple(int(r) for r in np.flatnonzero(norms > threshold))
 
 
-def eigenvalue_support(
-    sd: SpectralDecomposition, a: int, threshold: float | None = None
-) -> EigenvalueSupport:
+def eigenvalue_support(sd: SpectralDecomposition, a: int) -> EigenvalueSupport:
     """Support of vertex ``a``: eigenvalue indices whose idempotent sees it."""
-    if threshold is None:
-        threshold = default_support_threshold(sd.n)
+    threshold = default_support_threshold(sd.n)
     members = _members(sd.columns(a), threshold)
     return EigenvalueSupport(vertex=a, members=members, threshold=threshold)
 
@@ -81,15 +78,13 @@ def strong_cospectrality(
     a: int,
     b: int,
     tol: float = 1e-7,
-    threshold: float | None = None,
 ) -> CospectralityCertificate | None:
     """Certificate that a and b are strongly cospectral, or None.
 
     Returns None when the supports differ or some idempotent fails the
     unimodular-multiple relation beyond ``tol``.
     """
-    if threshold is None:
-        threshold = default_support_threshold(sd.n)
+    threshold = default_support_threshold(sd.n)
     cols_a, cols_b = sd.columns(a), sd.columns(b)
     support = _members(cols_a, threshold)
     if support != _members(cols_b, threshold):

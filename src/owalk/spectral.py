@@ -33,7 +33,6 @@ __all__ = [
     "SpectralDecomposition",
     "decompose",
     "transition_matrix",
-    "fidelity",
     "cluster_values",
 ]
 
@@ -69,7 +68,6 @@ class SpectralDecomposition:
     graph: OrientedGraph
     eigenvalues: np.ndarray          # y_r, real, strictly increasing
     idempotents: tuple[np.ndarray, ...]
-    grouping_tolerance: float
     multiplicities: tuple[int, ...] = field(default=())
 
     @property
@@ -90,17 +88,11 @@ class SpectralDecomposition:
         return arithmetic.char_poly(self.graph)
 
 
-def decompose(
-    g: OrientedGraph, grouping_tolerance: float = DEFAULT_GROUPING_TOL
-) -> SpectralDecomposition:
+def decompose(g: OrientedGraph) -> SpectralDecomposition:
     """Spectral decomposition of the graph's adjacency matrix.
 
-    Parameters
-    ----------
-    g : OrientedGraph
-    grouping_tolerance : float
-        Relative tolerance for merging repeated eigenvalues; the absolute
-        scale is grouping_tolerance * (1 + spectral radius).
+    Repeated eigenvalues are merged within DEFAULT_GROUPING_TOL relative
+    to the scale 1 + spectral radius.
     """
     a = g.adjacency.astype(np.float64)
     herm = -1j * a
@@ -109,7 +101,7 @@ def decompose(
     except np.linalg.LinAlgError as exc:
         raise EigensolverFailureError(f"eigh did not converge: {exc}") from exc
     scale = 1.0 + (abs(mu).max() if mu.size else 0.0)
-    tol_abs = grouping_tolerance * scale
+    tol_abs = DEFAULT_GROUPING_TOL * scale
     clusters = cluster_values(mu, tol_abs)
     eigenvalues = []
     idempotents = []
@@ -128,7 +120,6 @@ def decompose(
         graph=g,
         eigenvalues=np.array(eigenvalues),
         idempotents=tuple(idempotents),
-        grouping_tolerance=grouping_tolerance,
         multiplicities=tuple(multiplicities),
     )
 
@@ -158,15 +149,3 @@ def propagator_column(sd: SpectralDecomposition, a: int, t: float) -> np.ndarray
     # reported probabilities (other layouts differ in the last bits)
     cols = np.ascontiguousarray(sd.columns(a).T)
     return cols @ np.exp(-1j * t * sd.eigenvalues)
-
-
-def amplitude_samples(
-    sd: SpectralDecomposition, a: int, b: int, times: np.ndarray
-) -> np.ndarray:
-    """U(t)[b, a] evaluated on an array of times (vectorized)."""
-    return np.exp(-1j * np.outer(times, sd.eigenvalues)) @ sd.pair_coeffs(a, b)
-
-
-def fidelity(sd: SpectralDecomposition, a: int, b: int, t: float) -> float:
-    """Transfer fidelity |U(t)[b, a]| from vertex a to vertex b."""
-    return float(abs(np.exp(-1j * t * sd.eigenvalues) @ sd.pair_coeffs(a, b)))

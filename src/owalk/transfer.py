@@ -1,11 +1,18 @@
 """Perfect state transfer: verification, characterization, scanning, MST.
 
 Perfect state transfer (PST) from a to b at time tau means
-U(tau) e_a = phase * e_b with phase in {+1, -1}.  On the eigenvalue
-support this is e^{-i*tau*y_r} * alpha_r = phase for every r, so with
-quarrels alpha_r = e^{i*pi*q_r} the transfer condition becomes a parity
+U(tau) e_a = phase * e_b with phase in {+1, -1}.  It needs a and b to be
+strongly cospectral; on their eigenvalue support it is then
+e^{-i*tau*y_r} * alpha_r = phase for every r, so with quarrels
+alpha_r = e^{i*pi*q_r} the transfer condition becomes a parity
 statement: the numbers q_r - tau*y_r/pi must all be even integers
 (phase +1) or all odd integers (phase -1).
+
+The scan solves this condition directly, without sampling |U(t)[b, a]|:
+one support index fixes a discrete set of candidate times, the parity
+test keeps the transfer times among them, and each kept time is
+polished and verified numerically.  The same path serves periodic and
+aperiodic sources.
 
 Multiple state transfer (MST) is PST between every ordered pair of a
 vertex set.  Such sets arise as orbits of switching automorphisms: when
@@ -25,6 +32,8 @@ import numpy as np
 from .autos import SwitchingAutomorphism, find_switching_automorphisms, orbit
 from .cospectral import CospectralityCertificate, eigenvalue_support, strong_cospectrality
 from .errors import (
+    DisconnectedGraphError,
+    InputError,
     NonRealResultError,
     NoValidMError,
     NotCospectralError,
@@ -33,12 +42,7 @@ from .errors import (
     VerificationFailedError,
 )
 from .periodicity import PeriodicityCertificate, is_periodic
-from .spectral import (
-    REALNESS_TOL,
-    SpectralDecomposition,
-    amplitude_samples,
-    propagator_column,
-)
+from .spectral import REALNESS_TOL, SpectralDecomposition, propagator_column
 
 __all__ = [
     "TransferCertificate",
@@ -51,7 +55,7 @@ __all__ = [
 ]
 
 DEFAULT_SCAN_TMAX = 20.0
-DEFAULT_SCAN_GRID = 200_000
+MAX_SCAN_CANDIDATES = 200_000
 DEFAULT_PST_TOL = 1e-7
 DEFAULT_PARITY_TOL = 1e-6
 
@@ -160,38 +164,13 @@ def _parity_of(values: list[float], tol: float) -> int | None:
     return parity
 
 
-def _refine_peak(
-    sd: SpectralDecomposition, a: int, b: int, lo: float, hi: float
-) -> float:
-    """Locate the fidelity maximum inside (lo, hi) to near machine precision.
+def _refine_peak(coeffs: np.ndarray, y: np.ndarray, t: float) -> float:
+    """Newton iterations on the derivative of |amplitude|^2, started at ``t``.
 
-    Golden-section narrows the bracket, then Newton iterations on the
-    derivative of |amplitude|^2 polish the root (pure golden stalls once
-    the fidelity is flat to rounding error).
+    ``coeffs`` are E_r[b, a] over r, so the amplitude is
+    sum_r exp(-i*t*y_r) * coeffs[r]; the candidate time moves onto the
+    nearby maximum of |amplitude| to near machine precision.
     """
-    coeffs = sd.pair_coeffs(a, b)
-    y = sd.eigenvalues
-
-    def fid2(t: float) -> float:
-        amp = np.exp(-1j * t * y) @ coeffs
-        return float(abs(amp) ** 2)
-
-    invphi = (math.sqrt(5.0) - 1.0) / 2.0
-    x1 = hi - invphi * (hi - lo)
-    x2 = lo + invphi * (hi - lo)
-    f1, f2 = fid2(x1), fid2(x2)
-    for _ in range(200):
-        if hi - lo < 1e-9:
-            break
-        if f1 < f2:
-            lo, x1, f1 = x1, x2, f2
-            x2 = lo + invphi * (hi - lo)
-            f2 = fid2(x2)
-        else:
-            hi, x2, f2 = x2, x1, f1
-            x1 = hi - invphi * (hi - lo)
-            f1 = fid2(x1)
-    t = 0.5 * (lo + hi)
     dcoeffs = -1j * y * coeffs
     ddcoeffs = -(y**2) * coeffs
     for _ in range(8):
@@ -215,33 +194,48 @@ def scan_pst(
     a: int,
     b: int,
     t_max: float = DEFAULT_SCAN_TMAX,
-    grid: int = DEFAULT_SCAN_GRID,
+    grid: int = MAX_SCAN_CANDIDATES,
     tol: float = DEFAULT_PST_TOL,
 ) -> list[TransferCertificate]:
     """Find all PST events from a to b with time in (0, t_max].
 
-    Fidelity is sampled on a uniform grid; local maxima above
-    1 - 1000*tol are refined and then verified, so the returned times are
-    accurate to far better than the grid spacing.  Certificates are
-    sorted by time.
+    Transfer needs a strongly cospectral pair.  On the support index r0
+    of least nonzero |y|, v_r0 = q_r0 - t*y_r0/pi must be an integer, so
+    the only candidate times are t*|y_r0|/pi = offset + j for integers
+    j >= 0; ``first_char_check`` keeps those where every v_r shares one
+    parity, and each one is polished by Newton and verified with
+    ``verify_pst``.  ``grid`` caps the number of candidate times: a
+    longer scan raises InputError instead of being cut short.
+    Certificates are sorted by time.
     """
-    if t_max <= 0 or grid < 3:
-        raise ValueError("scan needs t_max > 0 and at least 3 grid points")
-    step = t_max / grid
-    times = step * np.arange(1, grid + 1)
-    fids = np.abs(amplitude_samples(sd, a, b, times))
-    threshold = 1.0 - 1e3 * tol
-    interior = np.arange(1, grid - 1)
-    peaks = interior[
-        (fids[interior] >= fids[interior - 1])
-        & (fids[interior] >= fids[interior + 1])
-        & (fids[interior] > threshold)
-    ]
+    cospec = strong_cospectrality(sd, a, b, tol=tol)
+    if cospec is None:
+        return []
+    y = sd.eigenvalues
+    nonzero = [r for r in cospec.support if y[r] != 0.0]
+    if not nonzero:
+        raise DisconnectedGraphError(
+            f"vertex {a} is isolated: the walk leaves it in place at every time"
+        )
+    r0 = min(nonzero, key=lambda r: abs(y[r]))
+    y0 = abs(float(y[r0]))
+    q0 = cospec.quarrels[r0]
+    offset = (q0 if y[r0] > 0 else -q0) % 1.0
+    if offset < DEFAULT_PARITY_TOL:
+        offset += 1.0  # j = 0 would be t = 0, where nothing has moved
+    span = t_max * y0 / math.pi - offset
+    if not span < grid:
+        raise InputError(
+            f"scanning (0, {t_max!r}] would examine about {span:.3g} candidate times, "
+            f"more than the bound of {grid}"
+        )
+    coeffs = sd.pair_coeffs(a, b)
     certificates: list[TransferCertificate] = []
-    for i in peaks:
-        t_star = _refine_peak(sd, a, b, times[i - 1], times[i + 1])
-        if not 0.0 < t_star <= t_max + step:
+    for j in range(math.floor(span) + 1):
+        tau = math.pi * (offset + j) / y0
+        if first_char_check(cospec, sd, tau) is None:
             continue
+        t_star = _refine_peak(coeffs, y, tau)
         if certificates and abs(t_star - certificates[-1].time) < 1e-8:
             continue
         cert = verify_pst(sd, a, b, t_star, tol, method="scan")
@@ -351,17 +345,16 @@ def mst_search(
     sd: SpectralDecomposition,
     vertex: int | None = None,
     tol: float = DEFAULT_PST_TOL,
-    node_budget: int | None = None,
 ) -> list[MSTCertificate]:
     """Search automorphism orbits of length >= 3 for multiple state transfer.
 
     Tries every switching automorphism of the graph and every start
     vertex (or just ``vertex``); condition failures are skipped, numeric
-    verification failures propagate.  One certificate is kept per orbit
-    set, the one with the smallest base time.
+    verification failures propagate.  Each orbit set is certified once:
+    its base time sigma/k is fixed by the set, so a set already held is
+    not tried again.
     """
-    kwargs = {} if node_budget is None else {"node_budget": node_budget}
-    autos = find_switching_automorphisms(sd.graph, **kwargs)
+    autos = find_switching_automorphisms(sd.graph)
     best: dict[frozenset[int], MSTCertificate] = {}
     for p in autos:
         tried: set[frozenset[int]] = set()
@@ -371,14 +364,11 @@ def mst_search(
             if len(orb) < 3:
                 continue
             key = frozenset(orb)
-            if key in tried:
+            if key in tried or key in best:
                 continue
             tried.add(key)
             try:
-                cert = complete_char(sd, a, p, tol=tol)
+                best[key] = complete_char(sd, a, p, tol=tol)
             except (NotCospectralError, NotPeriodicError, NoValidMError):
                 continue
-            held = best.get(key)
-            if held is None or cert.base_time < held.base_time - 1e-12:
-                best[key] = cert
     return sorted(best.values(), key=lambda c: (c.base_time, c.orbit))

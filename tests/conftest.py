@@ -79,3 +79,53 @@ def p4_sd():
 @pytest.fixture()
 def rng():
     return np.random.default_rng(20260817)
+
+
+def grid_scan(sd, a, b, t_max, points=8192):
+    """PST events a -> b in (0, t_max] from sampled amplitudes, as (time, phase).
+
+    An oracle that does not use the transfer condition: |U(t)[b, a]| is
+    sampled on a uniform grid, local maxima above 1 - 1e-4 are refined by
+    golden section and then Newton steps, and a refined maximum counts as
+    an event when |U(t)[b, a]| is 1 within 1e-10.
+    """
+    coeffs = sd.pair_coeffs(a, b)
+    y = sd.eigenvalues
+
+    def amp(t):
+        return np.exp(-1j * t * y) @ coeffs
+
+    step = t_max / points
+    times = step * np.arange(1, points + 2)  # one point past t_max
+    fids = np.abs(np.exp(-1j * np.outer(times, y)) @ coeffs)
+    inner = np.arange(1, len(times) - 1)
+    peaks = inner[
+        (fids[inner] >= fids[inner - 1])
+        & (fids[inner] >= fids[inner + 1])
+        & (fids[inner] > 1.0 - 1e-4)
+    ]
+    invphi = (np.sqrt(5.0) - 1.0) / 2.0
+    events = []
+    for i in peaks:
+        lo, hi = times[i - 1], times[i + 1]
+        while hi - lo > 1e-9:
+            x1, x2 = hi - invphi * (hi - lo), lo + invphi * (hi - lo)
+            if abs(amp(x1)) < abs(amp(x2)):
+                lo = x1
+            else:
+                hi = x2
+        t = 0.5 * (lo + hi)
+        for _ in range(8):
+            ph = np.exp(-1j * t * y)
+            f, df, ddf = ph @ coeffs, ph @ (-1j * y * coeffs), ph @ (-(y**2) * coeffs)
+            curv = 2.0 * (abs(df) ** 2 + (ddf * f.conjugate()).real)
+            if curv >= 0.0:
+                break
+            t -= 2.0 * (df * f.conjugate()).real / curv
+        value = amp(t)
+        if not (0.0 < t <= t_max and abs(value) > 1.0 - 1e-10):
+            continue
+        if events and abs(t - events[-1][0]) < 1e-8:
+            continue
+        events.append((float(t), 1 if value.real > 0 else -1))
+    return events

@@ -197,7 +197,7 @@ def test_usage_errors_exit_2():
         ("pst", "k3", "0", "1", "--tol", "-1"),
         ("pst", "k3", "0", "1", "--tol", "nan"),
         ("periodic", "k3", "0", "--tol", "0"),
-        ("pst", "k3", "0", "1", "--grid", "2"),
+        ("pst", "k3", "0", "1", "--t-max", "1e9"),
         ("pst", "k3", "0", "1", "--t-max", "-1"),
         ("pst", "k3", "0", "1", "--t-max", "inf"),
         ("pst", "k3", "0", "1", "--time", "nan"),
@@ -268,7 +268,7 @@ def test_char_poly_computed_lazily_and_once(tmp_path, monkeypatch):
     report = run("periodic", str(random64), "5")
     assert report["periodicity"][0]["periodic"] is False
     assert calls == []
-    report = run("pst", str(random64), "0", "1", "--t-max", "5", "--grid", "5000")
+    report = run("pst", str(random64), "0", "1", "--t-max", "5")
     assert report["transfers"] == []
     assert calls == []
     report = run("mst", str(k3pow3))

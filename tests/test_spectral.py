@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 import scipy.linalg
 
-from owalk import amplitude_samples, build_graph, decompose, fidelity, transition_matrix
+from owalk import build_graph, decompose, transition_matrix
 from owalk.errors import AmbiguousGroupingError, NonRealResultError
 from owalk.spectral import cluster_values, propagator_column
 
@@ -113,7 +113,6 @@ def test_transition_matrix_matches_expm(rng):
 
 def test_k3_transfer_amplitude(k3_sd):
     tau = 2 * math.pi / (3 * math.sqrt(3))
-    assert abs(fidelity(k3_sd, 0, 1, tau) - 1.0) < 1e-12
     u = transition_matrix(k3_sd, tau)
     assert abs(u[1, 0] - 1.0) < 1e-12
 
@@ -126,15 +125,6 @@ def test_propagator_column_matches_matrix(k3_sd, mst8_sd):
                 col = propagator_column(sd, a, t)
                 assert np.linalg.norm(col.real - u[:, a]) < 1e-10
                 assert np.linalg.norm(col.imag) < 1e-10
-
-
-def test_amplitude_samples_vectorization(irrational5_sd):
-    times = np.linspace(0.1, 4.0, 50)
-    amps = amplitude_samples(irrational5_sd, 3, 4, times)
-    assert amps.shape == (50,)
-    for k in (0, 17, 49):
-        u = transition_matrix(irrational5_sd, float(times[k]))
-        assert abs(amps[k] - u[4, 3]) < 1e-10
 
 
 def test_cluster_values_groups_mst8():

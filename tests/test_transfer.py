@@ -3,9 +3,11 @@ import math
 import numpy as np
 import pytest
 
+import owalk.transfer
 from owalk import (
     SwitchingAutomorphism,
     build_graph,
+    builtin_example,
     complete_char,
     decompose,
     first_char_check,
@@ -15,12 +17,14 @@ from owalk import (
     verify_pst,
 )
 from owalk.errors import (
+    DisconnectedGraphError,
+    InputError,
     NoValidMError,
     NotCospectralError,
     NotStronglyCospectralError,
 )
 
-from conftest import random_oriented_graph
+from conftest import grid_scan, k3_power, random_oriented_graph
 
 K3_TAU = 2 * math.pi / (3 * math.sqrt(3))
 IRR5_TAU = (math.pi + math.acos(3.0 / 4.0)) / math.sqrt(7)
@@ -55,7 +59,7 @@ def test_irrational5_transfer_time(irrational5_sd):
     assert cert.phase == -1
     assert cert.residual < 1e-10
     # no transfer earlier than IRR5_TAU
-    early = scan_pst(irrational5_sd, 3, 4, t_max=IRR5_TAU * 0.99, grid=50_000)
+    early = scan_pst(irrational5_sd, 3, 4, t_max=IRR5_TAU * 0.99)
     assert early == []
 
 
@@ -69,18 +73,70 @@ def test_scan_finds_k3_events(k3_sd):
 
 
 def test_scan_finds_nothing_without_transfer(irrational5_sd, p4_sd):
-    assert scan_pst(irrational5_sd, 0, 3, t_max=6.0, grid=60_000) == []
-    assert scan_pst(p4_sd, 0, 3, t_max=6.0, grid=60_000) == []
+    assert scan_pst(irrational5_sd, 0, 3, t_max=6.0) == []
+    assert scan_pst(p4_sd, 0, 3, t_max=6.0) == []
 
 
 def test_scan_time_precision(k3_sd, irrational5_sd):
-    # refinement should do much better than the grid spacing
+    # the Newton polish lands on the closed-form times
     for sd, a, b, expected in (
         (k3_sd, 0, 1, K3_TAU),
         (irrational5_sd, 3, 4, IRR5_TAU),
     ):
         certs = scan_pst(sd, a, b, t_max=3.0)
         assert certs and abs(certs[0].time - expected) < 1e-11
+
+
+def _cycle(n):
+    return build_graph(n, [(i, (i + 1) % n) for i in range(n)])
+
+
+def test_scan_matches_grid_oracle(rng):
+    # the solved candidate times and an independent fidelity grid must
+    # report the same events, on every ordered pair, with the same phases
+    graphs = [builtin_example(name) for name in ("k3", "irrational5", "mst8")]
+    graphs += [_cycle(4), _cycle(8), k3_power(2)]
+    graphs += [random_oriented_graph(rng, int(rng.integers(2, 13))) for _ in range(24)]
+    events = 0
+    for g in graphs:
+        sd = decompose(g)
+        for a in range(g.n):
+            for b in range(g.n):
+                if a == b:
+                    continue
+                solved = [(c.time, c.phase) for c in scan_pst(sd, a, b, t_max=10.0)]
+                sampled = grid_scan(sd, a, b, t_max=10.0)
+                assert len(solved) == len(sampled), (g.edges, a, b, solved, sampled)
+                for (t, phase), (s, oracle_phase) in zip(solved, sampled):
+                    assert abs(t - s) < 1e-9 and phase == oracle_phase, (g.edges, a, b)
+                events += len(solved)
+    assert events > 100
+
+
+def test_scan_long_horizon_k3(k3_sd):
+    # every event sigma/3 + j*sigma up to t = 20000, none lost to a grid
+    sigma = 2 * math.pi / math.sqrt(3)
+    certs = scan_pst(k3_sd, 0, 1, t_max=20000.0)
+    assert len(certs) == 5513
+    for j, cert in enumerate(certs):
+        expected = sigma / 3 + j * sigma
+        assert abs(cert.time - expected) < 1e-9 + 1e-13 * expected
+        assert cert.phase == 1
+
+
+def test_scan_refuses_too_many_candidates(k3_sd):
+    with pytest.raises(InputError):
+        scan_pst(k3_sd, 0, 1, t_max=1e9)
+    with pytest.raises(InputError):
+        scan_pst(k3_sd, 0, 1, t_max=100.0, grid=10)
+    assert len(scan_pst(k3_sd, 0, 1, t_max=100.0, grid=100)) == 28
+
+
+def test_scan_refuses_isolated_vertex():
+    # an isolated vertex never moves, so every time would be a return
+    sd = decompose(build_graph(3, [(0, 1)]))
+    with pytest.raises(DisconnectedGraphError):
+        scan_pst(sd, 2, 2, t_max=1.0)
 
 
 def test_first_char_k3(k3_sd):
@@ -214,8 +270,29 @@ def test_mst_pair_times_cross_check_scan(mst8_sd):
     cert = certs[0]
     for (i, j), t in cert.pair_times.items():
         a, b = cert.orbit[i], cert.orbit[j]
-        scanned = scan_pst(mst8_sd, a, b, t_max=3.3, grid=40_000)
-        assert any(abs(s.time - t) < 1e-9 for s in scanned), (a, b, t)
+        scanned = grid_scan(mst8_sd, a, b, t_max=3.3)
+        assert any(abs(s - t) < 1e-9 for s, _ in scanned), (a, b, t)
+
+
+def test_mst_search_certifies_each_orbit_set_once(mst8_sd, monkeypatch):
+    # the base time sigma/k is fixed by the orbit set, so a set that is
+    # already certified is never handed to complete_char again
+    real = owalk.transfer.complete_char
+    calls = []
+    held = set()
+
+    def counting(sd, a, p, tol):
+        key = frozenset(owalk.transfer.orbit(p, a))
+        assert key not in held, key
+        calls.append(key)
+        cert = real(sd, a, p, tol=tol)
+        held.add(key)
+        return cert
+
+    monkeypatch.setattr(owalk.transfer, "complete_char", counting)
+    certs = mst_search(mst8_sd)
+    assert {frozenset(c.orbit) for c in certs} == held
+    assert len(calls) == 34
 
 
 def test_verify_pst_rejects_wrong_time(k3_sd):
@@ -230,6 +307,6 @@ def test_transfer_implies_strong_cospectrality(k3_sd, irrational5_sd, mst8_sd):
         (mst8_sd, [(0, 1), (0, 6), (0, 7)]),
     ):
         for a, b in pairs:
-            certs = scan_pst(sd, a, b, t_max=4.0, grid=50_000)
+            certs = scan_pst(sd, a, b, t_max=4.0)
             assert certs
             assert strong_cospectrality(sd, a, b) is not None
