@@ -181,7 +181,7 @@ def _cmd_spectrum(args, g, report, lines) -> bool:
     report["spectrum"] = {
         "char_poly_coeffs_low_to_high": list(poly.coeffs),
         "eigenvalues": [
-            {"y": float(y), "multiplicity": int(m)}
+            {"y": float(y), "multiplicity": m}
             for y, m in zip(sd.eigenvalues, sd.multiplicities)
         ],
     }
@@ -291,7 +291,7 @@ def _cmd_pst(args, g, report, lines) -> bool:
         certs = [] if cert is None else [cert]
     else:
         certs = scan_pst(sd, args.a, args.b, t_max=args.t_max, tol=args.eff_tol)
-    sigma = _sigma_of(sd, args.a)
+    sigma = _sigma_of(sd, args.a) if certs else None
     entries = []
     for cert in certs:
         note, tag = _time_with_sigma(cert.time, sigma)

@@ -3,7 +3,8 @@
 The skew-symmetric adjacency matrix A has purely imaginary spectrum
 {i*y_r} with real y_r.  We diagonalize the Hermitian matrix -iA, whose
 real eigenvalues are exactly those y_r, and group repeated eigenvalues
-into orthogonal projections (idempotents) E_r, giving
+into classes; their orthonormal eigenvector blocks V_r are all that is
+stored, and the orthogonal projections (idempotents) E_r = V_r V_r^H give
 
     A = sum_r theta_r * E_r,        theta_r = i * y_r.
 
@@ -16,7 +17,7 @@ from a to b after time t is U(t)[b, a].
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
@@ -63,24 +64,36 @@ def cluster_values(values: np.ndarray, tol: float) -> list[list[int]]:
 
 @dataclass(frozen=True)
 class SpectralDecomposition:
-    """Distinct eigenvalues i*y_r of A with their spectral idempotents."""
+    """Distinct eigenvalues i*y_r of A with their eigenvector blocks V_r."""
 
     graph: OrientedGraph
     eigenvalues: np.ndarray          # y_r, real, strictly increasing
-    idempotents: tuple[np.ndarray, ...]
-    multiplicities: tuple[int, ...] = field(default=())
+    vectors: np.ndarray              # orthonormal, n x n, read-only
+    starts: np.ndarray               # V_r = vectors[:, starts[r]:starts[r+1]]
 
     @property
     def n(self) -> int:
         return self.graph.n
 
+    @property
+    def multiplicities(self) -> tuple[int, ...]:
+        return tuple(np.diff(self.starts, append=self.n).tolist())
+
     def pair_coeffs(self, a: int, b: int) -> np.ndarray:
         """E_r[b, a] over r, so that U(t)[b, a] = sum_r exp(-i*t*y_r) * E_r[b, a]."""
-        return np.array([e_r[b, a] for e_r in self.idempotents])
+        v = self.vectors
+        return np.add.reduceat(v[b] * v[a].conj(), self.starts)
 
     def columns(self, a: int) -> np.ndarray:
         """R x n array whose row r is E_r e_a."""
-        return np.array([e_r[:, a] for e_r in self.idempotents])
+        v = self.vectors
+        return np.add.reduceat(v * v[a].conj(), self.starts, axis=1).T
+
+    @cached_property
+    def idempotents(self) -> tuple[np.ndarray, ...]:
+        """The n x n projectors E_r = V_r V_r^H, built on first read."""
+        blocks = np.split(self.vectors, self.starts[1:], axis=1)
+        return tuple(v_r @ v_r.conj().T for v_r in blocks)
 
     @cached_property
     def char_poly(self) -> arithmetic.IntPolynomial:
@@ -94,8 +107,7 @@ def decompose(g: OrientedGraph) -> SpectralDecomposition:
     Repeated eigenvalues are merged within DEFAULT_GROUPING_TOL relative
     to the scale 1 + spectral radius.
     """
-    a = g.adjacency.astype(np.float64)
-    herm = -1j * a
+    herm = -1j * g.adjacency.astype(np.float64)
     try:
         mu, vec = np.linalg.eigh(herm)
     except np.linalg.LinAlgError as exc:
@@ -103,24 +115,14 @@ def decompose(g: OrientedGraph) -> SpectralDecomposition:
     scale = 1.0 + (abs(mu).max() if mu.size else 0.0)
     tol_abs = DEFAULT_GROUPING_TOL * scale
     clusters = cluster_values(mu, tol_abs)
-    eigenvalues = []
-    idempotents = []
-    multiplicities = []
-    for cluster in clusters:
-        y = float(np.mean(mu[cluster]))
-        if abs(y) < tol_abs:
-            y = 0.0
-        cols = vec[:, cluster]
-        e_r = cols @ cols.conj().T
-        e_r.setflags(write=False)
-        eigenvalues.append(y)
-        idempotents.append(e_r)
-        multiplicities.append(len(cluster))
+    eigenvalues = np.array([np.mean(mu[cluster]) for cluster in clusters])
+    eigenvalues[abs(eigenvalues) < tol_abs] = 0.0
+    vec.setflags(write=False)
     return SpectralDecomposition(
         graph=g,
-        eigenvalues=np.array(eigenvalues),
-        idempotents=tuple(idempotents),
-        multiplicities=tuple(multiplicities),
+        eigenvalues=eigenvalues,
+        vectors=vec,
+        starts=np.array([cluster[0] for cluster in clusters], dtype=np.intp),
     )
 
 
@@ -132,9 +134,8 @@ def transition_matrix(
     The imaginary parts of the eigenfunction sum must vanish; anything
     above ``realness_tol`` raises NonRealResultError.
     """
-    u = np.zeros((sd.n, sd.n), dtype=np.complex128)
-    for phase, e_r in zip(np.exp(-1j * t * sd.eigenvalues), sd.idempotents):
-        u += phase * e_r
+    phases = np.repeat(np.exp(-1j * t * sd.eigenvalues), sd.multiplicities)
+    u = (sd.vectors * phases) @ sd.vectors.conj().T
     worst = float(abs(u.imag).max()) if sd.n else 0.0
     if worst > realness_tol:
         raise NonRealResultError(
@@ -145,7 +146,6 @@ def transition_matrix(
 
 def propagator_column(sd: SpectralDecomposition, a: int, t: float) -> np.ndarray:
     """Column a of U(t), i.e. the state reached from vertex ``a``, complex."""
-    # summed as a C-ordered n x R product, which fixes the rounding of the
-    # reported probabilities (other layouts differ in the last bits)
-    cols = np.ascontiguousarray(sd.columns(a).T)
-    return cols @ np.exp(-1j * t * sd.eigenvalues)
+    # the C-ordered n x R product fixes the rounding of the reported
+    # probabilities (other layouts differ in the last bits)
+    return sd.columns(a).T @ np.exp(-1j * t * sd.eigenvalues)

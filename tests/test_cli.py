@@ -271,6 +271,10 @@ def test_char_poly_computed_lazily_and_once(tmp_path, monkeypatch):
     report = run("pst", str(random64), "0", "1", "--t-max", "5")
     assert report["transfers"] == []
     assert calls == []
+    # not strongly cospectral: no transfer, so no sigma to annotate
+    report = run("pst", str(k3pow3), "0", "1")
+    assert report["transfers"] == []
+    assert calls == []
     report = run("mst", str(k3pow3))
     assert report["mst"]
     assert calls == [27]

@@ -7,12 +7,16 @@ near rounding level and depend on the order of floating-point sums).
 
 After a deliberate change of the reports, regenerate the recordings with
 
-    PYTHONPATH=src python tests/test_golden.py
+    PYTHONPATH=src python tests/test_golden.py [slug ...]
+
+which rewrites only the named recordings (file names without ``.json``),
+or all of them when no slug is given.
 """
 
 import io
 import json
 import math
+import sys
 from contextlib import redirect_stdout
 from pathlib import Path
 
@@ -93,8 +97,14 @@ def test_report_matches_golden(argv):
 
 
 if __name__ == "__main__":
+    wanted = set(sys.argv[1:])
+    unknown = wanted - {_slug(argv) for argv in COMMANDS}
+    if unknown:
+        sys.exit(f"unknown golden slugs: {', '.join(sorted(unknown))}")
     GOLDEN_DIR.mkdir(exist_ok=True)
     for argv in COMMANDS:
+        if wanted and _slug(argv) not in wanted:
+            continue
         code, report = _run(argv)
         record = {"argv": argv, "exit_code": code, "report": report}
         path = GOLDEN_DIR / f"{_slug(argv)}.json"

@@ -1,14 +1,30 @@
+import io
+import json
 import math
+from contextlib import redirect_stdout
 
+import mpmath
 import numpy as np
 import pytest
 import scipy.linalg
 
-from owalk import build_graph, decompose, transition_matrix
+from owalk import (
+    build_graph,
+    builtin_example,
+    decompose,
+    eigenvalue_support,
+    is_periodic,
+    mst_search,
+    scan_pst,
+    strong_cospectrality,
+    transition_matrix,
+    verify_pst,
+)
+from owalk.cli import main
 from owalk.errors import AmbiguousGroupingError, NonRealResultError
 from owalk.spectral import cluster_values, propagator_column
 
-from conftest import random_oriented_graph
+from conftest import k3_power, random_oriented_graph
 
 
 def test_k3_eigenvalues_frozen(k3_sd):
@@ -125,6 +141,64 @@ def test_propagator_column_matches_matrix(k3_sd, mst8_sd):
                 col = propagator_column(sd, a, t)
                 assert np.linalg.norm(col.real - u[:, a]) < 1e-10
                 assert np.linalg.norm(col.imag) < 1e-10
+
+
+def test_derived_reads_match_projectors():
+    # every read summed from the eigenvector blocks agrees with the n x n
+    # projectors E_r = V_r V_r^H, which only a reader of sd.idempotents builds
+    rng = np.random.default_rng(8)
+    graphs = [builtin_example("irrational5"), builtin_example("mst8")]
+    graphs += [k3_power(2), k3_power(3)]
+    graphs += [random_oriented_graph(rng, n) for n in (4, 9, 16, 33, 64)]
+    for g in graphs:
+        sd = decompose(g)
+        assert sum(sd.multiplicities) == g.n
+        proj = np.array(sd.idempotents)
+        traces = [round(float(np.trace(e).real)) for e in proj]
+        assert traces == list(sd.multiplicities)
+        for a in range(g.n):
+            assert np.abs(sd.columns(a) - proj[:, :, a]).max() < 1e-12
+            for b in range(g.n):
+                assert np.abs(sd.pair_coeffs(a, b) - proj[:, b, a]).max() < 1e-12
+        for t in (0.0, 0.7, 2.3):
+            u = np.einsum("r,rij->ij", np.exp(-1j * t * sd.eigenvalues), proj)
+            assert np.abs(transition_matrix(sd, t) - u.real).max() < 1e-12
+            for a in range(g.n):
+                assert np.abs(propagator_column(sd, a, t) - u[:, a]).max() < 1e-12
+
+
+def test_analysis_leaves_projectors_unbuilt(mst8):
+    sd = decompose(mst8)
+    support = eigenvalue_support(sd, 0)
+    assert strong_cospectrality(sd, 0, 1) is not None
+    assert is_periodic(sd, support) is not None
+    assert scan_pst(sd, 0, 1, t_max=4.0)
+    assert verify_pst(sd, 0, 6, math.pi / 4) is not None
+    assert mst_search(sd)
+    transition_matrix(sd, 1.0)
+    propagator_column(sd, 0, 1.0)
+    assert "idempotents" not in sd.__dict__
+
+
+@pytest.mark.parametrize("name", ["k3", "irrational5", "mst8"])
+def test_evolve_probabilities_match_mpmath_expm(name):
+    # accuracy independent of the order of floating-point sums: every
+    # probability ``owalk evolve`` reports lies within 2e-15 of
+    # exp(-tA)[b, a]^2 computed to 50 digits
+    a = mpmath.matrix(builtin_example(name).adjacency.tolist())
+    exact = {}
+    for source in range(a.rows):
+        for t_max, steps in ((3, 7), (2, 5)):
+            argv = ["evolve", name, "--source", str(source), "--t-max", str(t_max)]
+            out = io.StringIO()
+            with redirect_stdout(out):
+                assert main([*argv, "--steps", str(steps), "--json"]) == 0
+            for t, *probs in json.loads(out.getvalue())["evolution"]["rows"]:
+                if t not in exact:
+                    with mpmath.workdps(50):
+                        exact[t] = mpmath.expm(-mpmath.mpf(t) * a)
+                for b, p in enumerate(probs):
+                    assert abs(p - float(exact[t][b, source] ** 2)) <= 2e-15
 
 
 def test_cluster_values_groups_mst8():
