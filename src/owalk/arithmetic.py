@@ -124,7 +124,7 @@ def square_free_part(m: int) -> int:
 def quadratic_integer_profile(
     y_squared_values,
     tol: float = 1e-6,
-    poly: IntPolynomial | Callable[[], IntPolynomial] | None = None,
+    poly: Callable[[], IntPolynomial] | None = None,
 ) -> tuple[int, tuple[int, ...]] | None:
     """Recognize squared eigenvalue magnitudes as b^2 * Delta, Delta square-free.
 
@@ -134,13 +134,13 @@ def quadratic_integer_profile(
         Values |theta_r|^2 for the nonzero eigenvalues of interest.
     tol : float
         Absolute tolerance for integer recognition.
-    poly : IntPolynomial, or a function returning it, optional
-        Characteristic polynomial of the graph.  When given, every
-        recognized integer c is cross-checked to be a root of the integer
-        polynomial obtained by substituting x^2 = -y; disagreement raises
-        InconsistentExactCheckError (float rounding and exact arithmetic
-        must not contradict each other).  A function is called only once
-        every value has been recognized as an integer, so a costly
+    poly : function returning an IntPolynomial, optional
+        Returns the characteristic polynomial of the graph.  When given,
+        every recognized integer c is cross-checked to be a root of the
+        integer polynomial obtained by substituting x^2 = -y; disagreement
+        raises InconsistentExactCheckError (float rounding and exact
+        arithmetic must not contradict each other).  It is called only
+        once every value has been recognized as an integer, so a costly
         polynomial is never computed for values the float test rejects.
 
     Returns
@@ -160,9 +160,7 @@ def quadratic_integer_profile(
     if not recognized:
         return None
     if poly is not None:
-        if not isinstance(poly, IntPolynomial):
-            poly = poly()
-        _, even = poly.even_part()
+        _, even = poly().even_part()
         coeffs = even.coeffs
         if any(coeffs[1::2]):
             raise InconsistentExactCheckError(

@@ -6,6 +6,9 @@ maps their basis vectors to unimodular multiples of each other:
 E_r e_a = alpha_r E_r e_b with |alpha_r| = 1.  The quarrel q_r is the
 phase exponent alpha_r = exp(i*pi*q_r), normalized to (-1, 1] (so a
 real negative alpha gives q = 1, not -1).
+
+Both are read from rows a and b of the blocks V_r in O(n): ||E_r e_a||
+is ||V_r[a]||, and ||E_r e_a - alpha E_r e_b|| is ||V_r[a] - conj(alpha) V_r[b]||.
 """
 
 from __future__ import annotations
@@ -38,9 +41,6 @@ class EigenvalueSupport:
     members: tuple[int, ...]
     threshold: float
 
-    def __contains__(self, r: int) -> bool:
-        return r in self.members
-
 
 @dataclass(frozen=True)
 class CospectralityCertificate:
@@ -60,16 +60,15 @@ class CospectralityCertificate:
     residual: float
 
 
-def _members(cols: np.ndarray, threshold: float) -> tuple[int, ...]:
-    """Indices r whose row E_r e_a of ``cols`` has norm above threshold."""
-    norms = np.linalg.norm(cols, axis=1)
+def _members(norms: np.ndarray, threshold: float) -> tuple[int, ...]:
+    """Indices r whose norm ||E_r e_a|| is above threshold."""
     return tuple(int(r) for r in np.flatnonzero(norms > threshold))
 
 
 def eigenvalue_support(sd: SpectralDecomposition, a: int) -> EigenvalueSupport:
     """Support of vertex ``a``: eigenvalue indices whose idempotent sees it."""
     threshold = default_support_threshold(sd.n)
-    members = _members(sd.columns(a), threshold)
+    members = _members(sd.class_norms(sd.vectors[a]), threshold)
     return EigenvalueSupport(vertex=a, members=members, threshold=threshold)
 
 
@@ -85,14 +84,13 @@ def strong_cospectrality(
     unimodular-multiple relation beyond ``tol``.
     """
     threshold = default_support_threshold(sd.n)
-    cols_a, cols_b = sd.columns(a), sd.columns(b)
-    support = _members(cols_a, threshold)
-    if support != _members(cols_b, threshold):
+    row_a, row_b = sd.vectors[a], sd.vectors[b]
+    support = _members(sd.class_norms(row_a), threshold)
+    if support != _members(sd.class_norms(row_b), threshold):
         return None
     inners = sd.pair_coeffs(a, b)
     alphas: dict[int, complex] = {}
     quarrels: dict[int, float] = {}
-    residual = 0.0
     for r in support:
         # e_b^T E_r e_a equals <E_r e_b, E_r e_a>; its phase is alpha_r
         # whenever the two columns really are unimodular multiples.
@@ -100,14 +98,19 @@ def strong_cospectrality(
         if abs(inner) <= threshold * threshold:
             return None
         alpha = inner / abs(inner)
-        residual = max(residual, float(np.linalg.norm(cols_a[r] - alpha * cols_b[r])))
-        if residual > tol:
-            return None
         q = cmath.phase(alpha) / math.pi
         if q <= -1.0:
             q += 2.0
         alphas[r] = alpha
         quarrels[r] = q
+    # the residual is the largest ||E_r e_a - alpha_r E_r e_b||, which is
+    # ||V_r[a] - conj(alpha_r) V_r[b]||, over the support
+    conj_alphas = np.zeros(len(sd.eigenvalues), dtype=complex)
+    conj_alphas[list(support)] = np.conj(list(alphas.values()))
+    mismatch = sd.class_norms(row_a - np.repeat(conj_alphas, sd.multiplicities) * row_b)
+    residual = float(mismatch[list(support)].max())
+    if residual > tol:
+        return None
     return CospectralityCertificate(
         a=a,
         b=b,

@@ -28,6 +28,7 @@ __all__ = ["PeriodicityCertificate", "is_periodic", "verify_period"]
 
 _SPOT_CHECK_SEED = 20260817
 _SPOT_CHECK_COUNT = 16
+_PERIOD_TOL = 1e-7
 
 
 @dataclass(frozen=True)
@@ -48,9 +49,7 @@ class PeriodicityCertificate:
 
 
 def is_periodic(
-    sd: SpectralDecomposition,
-    support: EigenvalueSupport,
-    tol: float = 1e-6,
+    sd: SpectralDecomposition, support: EigenvalueSupport
 ) -> PeriodicityCertificate | None:
     """Decide periodicity of the supported vertex and build its certificate.
 
@@ -70,9 +69,7 @@ def is_periodic(
     if not nonzero:
         return None
     squares = [float(sd.eigenvalues[r]) ** 2 for r in nonzero]
-    profile = arithmetic.quadratic_integer_profile(
-        squares, tol=tol, poly=lambda: sd.char_poly
-    )
+    profile = arithmetic.quadratic_integer_profile(squares, poly=lambda: sd.char_poly)
     if profile is None:
         return None
     delta, _ = profile
@@ -99,28 +96,24 @@ def is_periodic(
     )
 
 
-def verify_period(
-    sd: SpectralDecomposition,
-    cert: PeriodicityCertificate,
-    tol: float = 1e-7,
-) -> bool:
+def verify_period(sd: SpectralDecomposition, cert: PeriodicityCertificate) -> bool:
     """Numerically confirm the certificate's period and its minimality.
 
-    Checks ||U(sigma) e_a - phase * e_a|| < tol, and that at 16 seeded
-    random times inside (0, sigma) the walker is far (> 10*tol) from both
-    +e_a and -e_a, so no smaller period was missed.
+    Checks ||U(sigma) e_a - phase * e_a|| < tol with tol = 1e-7, and that
+    at 16 seeded random times inside (0, sigma) the walker is far
+    (> 10*tol) from both +e_a and -e_a, so no smaller period was missed.
     """
     a = cert.vertex
     basis = np.zeros(sd.n)
     basis[a] = 1.0
     col = propagator_column(sd, a, cert.sigma)
-    if np.linalg.norm(col - cert.phase * basis) >= tol:
+    if np.linalg.norm(col - cert.phase * basis) >= _PERIOD_TOL:
         return False
     rng = np.random.default_rng(_SPOT_CHECK_SEED + a)
     for t in rng.uniform(0.0, cert.sigma, size=_SPOT_CHECK_COUNT):
         col = propagator_column(sd, a, float(t))
-        if np.linalg.norm(col - basis) <= 10 * tol:
+        if np.linalg.norm(col - basis) <= 10 * _PERIOD_TOL:
             return False
-        if np.linalg.norm(col + basis) <= 10 * tol:
+        if np.linalg.norm(col + basis) <= 10 * _PERIOD_TOL:
             return False
     return True

@@ -84,10 +84,9 @@ class SpectralDecomposition:
         v = self.vectors
         return np.add.reduceat(v[b] * v[a].conj(), self.starts)
 
-    def columns(self, a: int) -> np.ndarray:
-        """R x n array whose row r is E_r e_a."""
-        v = self.vectors
-        return np.add.reduceat(v * v[a].conj(), self.starts, axis=1).T
+    def class_norms(self, x: np.ndarray) -> np.ndarray:
+        """Norm of a length-n row over each class; ||E_r e_a|| over r on row a."""
+        return np.sqrt(np.add.reduceat((x * x.conj()).real, self.starts))
 
     @cached_property
     def idempotents(self) -> tuple[np.ndarray, ...]:
@@ -126,18 +125,16 @@ def decompose(g: OrientedGraph) -> SpectralDecomposition:
     )
 
 
-def transition_matrix(
-    sd: SpectralDecomposition, t: float, realness_tol: float = REALNESS_TOL
-) -> np.ndarray:
+def transition_matrix(sd: SpectralDecomposition, t: float) -> np.ndarray:
     """Propagator U(t) as a real orthogonal matrix.
 
     The imaginary parts of the eigenfunction sum must vanish; anything
-    above ``realness_tol`` raises NonRealResultError.
+    above REALNESS_TOL raises NonRealResultError.
     """
     phases = np.repeat(np.exp(-1j * t * sd.eigenvalues), sd.multiplicities)
     u = (sd.vectors * phases) @ sd.vectors.conj().T
     worst = float(abs(u.imag).max()) if sd.n else 0.0
-    if worst > realness_tol:
+    if worst > REALNESS_TOL:
         raise NonRealResultError(
             f"propagator carries imaginary parts up to {worst:.3e}"
         )
@@ -146,6 +143,8 @@ def transition_matrix(
 
 def propagator_column(sd: SpectralDecomposition, a: int, t: float) -> np.ndarray:
     """Column a of U(t), i.e. the state reached from vertex ``a``, complex."""
-    # the C-ordered n x R product fixes the rounding of the reported
-    # probabilities (other layouts differ in the last bits)
-    return sd.columns(a).T @ np.exp(-1j * t * sd.eigenvalues)
+    # row b of the C-ordered n x R product is E_r[b, a]; this layout fixes the
+    # rounding of the reported probabilities (others differ in the last bits)
+    v = sd.vectors
+    coeffs = np.add.reduceat(v * v[a].conj(), sd.starts, axis=1)
+    return coeffs @ np.exp(-1j * t * sd.eigenvalues)

@@ -127,14 +127,13 @@ def first_char_check(
     cospec: CospectralityCertificate | None,
     sd: SpectralDecomposition,
     tau: float,
-    tol: float = DEFAULT_PARITY_TOL,
 ) -> str | None:
     """Parity test for PST at ``tau`` between a strongly cospectral pair.
 
     Evaluates v_r = q_r - tau*y_r/pi over the support; returns "even" or
-    "odd" when every v_r is within ``tol`` of an integer and the parities
-    agree, else None.  PST at tau is equivalent to a uniform parity, with
-    phase +1 for even and -1 for odd.
+    "odd" when every v_r is within DEFAULT_PARITY_TOL of an integer and
+    the parities agree, else None.  PST at tau is equivalent to a uniform
+    parity, with phase +1 for even and -1 for odd.
     """
     if cospec is None:
         raise NotStronglyCospectralError(
@@ -144,18 +143,18 @@ def first_char_check(
         cospec.quarrels[r] - tau * float(sd.eigenvalues[r]) / math.pi
         for r in cospec.support
     ]
-    parity = _parity_of(values, tol)
+    parity = _parity_of(values)
     if parity is None:
         return None
     return "odd" if parity else "even"
 
 
-def _parity_of(values: list[float], tol: float) -> int | None:
+def _parity_of(values: list[float]) -> int | None:
     """Common parity of near-integer values: 0 even, 1 odd, None otherwise."""
     parity: int | None = None
     for v in values:
         k = round(v)
-        if abs(v - k) > tol:
+        if abs(v - k) > DEFAULT_PARITY_TOL:
             return None
         if parity is None:
             parity = k % 2
@@ -249,7 +248,6 @@ def complete_char(
     a: int,
     p: SwitchingAutomorphism,
     tol: float = DEFAULT_PST_TOL,
-    parity_tol: float = DEFAULT_PARITY_TOL,
 ) -> MSTCertificate:
     """Certify MST on the orbit of ``a`` under ``p`` via the parity criterion.
 
@@ -291,7 +289,7 @@ def complete_char(
             else:
                 v_term = c * math.copysign(period.b_coeffs[r], y) / (period.g * k)
             terms.append(m * cospec.quarrels[r] - v_term)
-        parity = _parity_of(terms, parity_tol)
+        parity = _parity_of(terms)
         if parity is not None:
             chosen_m = m
             expected_phase = -1 if parity else 1

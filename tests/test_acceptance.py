@@ -347,7 +347,7 @@ def test_criterion_8_exact_arithmetic():
     def profile_of(g):
         sd = decompose(g)
         vals = [y * y for y in sd.eigenvalues if abs(y) > 1e-9]
-        return quadratic_integer_profile(vals, poly=char_poly(g))
+        return quadratic_integer_profile(vals, poly=lambda: char_poly(g))
 
     p4 = build_graph(4, [(0, 1), (1, 2), (2, 3)])
     p4_rejected = profile_of(p4) is None

@@ -144,9 +144,9 @@ def test_profile_rejects_far_from_integer():
 def test_profile_cross_check_catches_lying_polynomial(k3):
     # recognized integers must be roots of the reduced char poly
     with pytest.raises(InconsistentExactCheckError):
-        quadratic_integer_profile([3.0], poly=IntPolynomial((1, 0, 1)))
+        quadratic_integer_profile([3.0], poly=lambda: IntPolynomial((1, 0, 1)))
 
 
 def test_profile_cross_check_passes_consistent_polynomial(k3):
     p = char_poly(k3)
-    assert quadratic_integer_profile([3.0], poly=p) == (3, (1,))
+    assert quadratic_integer_profile([3.0], poly=lambda: p) == (3, (1,))

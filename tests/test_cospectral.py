@@ -19,12 +19,6 @@ def test_irrational5_support(irrational5_sd):
         assert eigenvalue_support(irrational5_sd, v).members == (0, 1, 2)
 
 
-def test_support_contains_membership(k3_sd):
-    sup = eigenvalue_support(k3_sd, 0)
-    assert 0 in sup and 2 in sup
-    assert 17 not in sup
-
-
 def test_k3_quarrels_frozen(k3_sd):
     cert = strong_cospectrality(k3_sd, 0, 1)
     assert cert is not None

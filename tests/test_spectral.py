@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 import scipy.linalg
 
+import owalk.spectral
 from owalk import (
     build_graph,
     builtin_example,
@@ -21,6 +22,7 @@ from owalk import (
     verify_pst,
 )
 from owalk.cli import main
+from owalk.cospectral import default_support_threshold
 from owalk.errors import AmbiguousGroupingError, NonRealResultError
 from owalk.spectral import cluster_values, propagator_column
 
@@ -150,21 +152,47 @@ def test_derived_reads_match_projectors():
     graphs = [builtin_example("irrational5"), builtin_example("mst8")]
     graphs += [k3_power(2), k3_power(3)]
     graphs += [random_oriented_graph(rng, n) for n in (4, 9, 16, 33, 64)]
+    cospectral_pairs = 0
     for g in graphs:
         sd = decompose(g)
         assert sum(sd.multiplicities) == g.n
         proj = np.array(sd.idempotents)
         traces = [round(float(np.trace(e).real)) for e in proj]
         assert traces == list(sd.multiplicities)
+        threshold = default_support_threshold(g.n)
+        norms = np.linalg.norm(proj, axis=1)  # norms[r, a] = ||E_r e_a||
+        support_of = [tuple(np.flatnonzero(norms[:, a] > threshold)) for a in range(g.n)]
         for a in range(g.n):
-            assert np.abs(sd.columns(a) - proj[:, :, a]).max() < 1e-12
+            assert np.abs(sd.class_norms(sd.vectors[a]) - norms[:, a]).max() < 1e-12
             for b in range(g.n):
                 assert np.abs(sd.pair_coeffs(a, b) - proj[:, b, a]).max() < 1e-12
+                # the definition on the projectors: equal supports, and on each
+                # support index E_r e_a = alpha_r E_r e_b with alpha_r the phase
+                # of E_r[b, a], up to the default tolerance 1e-7
+                support = list(support_of[a])
+                inner = proj[support, b, a]
+                cospectral = support_of[a] == support_of[b] and bool(
+                    (abs(inner) > threshold**2).all()
+                )
+                if cospectral:
+                    alphas = inner / abs(inner)
+                    mismatch = proj[support, :, a] - alphas[:, None] * proj[support, :, b]
+                    residual = np.linalg.norm(mismatch, axis=1).max()
+                    cospectral = residual <= 1e-7
+                cert = strong_cospectrality(sd, a, b)
+                assert (cert is not None) == cospectral, (g.n, a, b)
+                if cert is None:
+                    continue
+                cospectral_pairs += 1
+                assert cert.support == support_of[a]
+                assert np.abs([cert.alphas[r] for r in support] - alphas).max() < 1e-12
+                assert abs(cert.residual - residual) < 1e-12
         for t in (0.0, 0.7, 2.3):
             u = np.einsum("r,rij->ij", np.exp(-1j * t * sd.eigenvalues), proj)
             assert np.abs(transition_matrix(sd, t) - u.real).max() < 1e-12
             for a in range(g.n):
                 assert np.abs(propagator_column(sd, a, t) - u[:, a]).max() < 1e-12
+    assert cospectral_pairs > sum(g.n for g in graphs)  # more than the pairs (a, a)
 
 
 def test_analysis_leaves_projectors_unbuilt(mst8):
@@ -213,9 +241,10 @@ def test_cluster_values_ambiguous_gap():
         cluster_values(np.array([0.0, 3e-8]), 1e-8)
 
 
-def test_non_real_result_guard(k3_sd):
+def test_non_real_result_guard(k3_sd, monkeypatch):
+    monkeypatch.setattr(owalk.spectral, "REALNESS_TOL", 1e-30)
     with pytest.raises(NonRealResultError):
-        transition_matrix(k3_sd, 0.5, realness_tol=1e-30)
+        transition_matrix(k3_sd, 0.5)
 
 
 def test_zero_cluster_snap(rng):
