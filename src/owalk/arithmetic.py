@@ -1,10 +1,12 @@
 """Exact integer arithmetic backing the periodicity test.
 
-Characteristic polynomials are computed over arbitrary-precision Python
-integers (coefficients of det(xI - A) grow quickly; fixed-width types
-would silently overflow).  Squared eigenvalue magnitudes of a
-skew-symmetric integer matrix are algebraic integers; recognizing them
-as b^2 * Delta with Delta square-free is what decides periodicity.
+det(xI - A) is computed modulo primes below 2^26 in int64 numpy, by Hessenberg
+reduction and the Hessenberg recurrence (Cohen, A Course in Computational
+Algebraic Number Theory, 2.2), lifted by CRT past the Hadamard bound on its
+coefficients, and checked for the shape of a skew-symmetric characteristic
+polynomial.  Squared eigenvalue magnitudes of a skew-symmetric integer matrix
+are algebraic integers; recognizing them as b^2 * Delta with Delta square-free
+is what decides periodicity.
 """
 
 from __future__ import annotations
@@ -12,6 +14,8 @@ from __future__ import annotations
 import math
 from collections.abc import Callable
 from dataclasses import dataclass
+
+import numpy as np
 
 from .errors import InconsistentExactCheckError
 from .graph import OrientedGraph
@@ -59,48 +63,70 @@ class IntPolynomial:
         return m, IntPolynomial(coeffs[m:])
 
 
-def _matmul_int(a: list[list[int]], b: list[list[int]]) -> list[list[int]]:
-    n = len(a)
-    out = [[0] * n for _ in range(n)]
-    for i in range(n):
-        ai = a[i]
-        oi = out[i]
-        for k in range(n):
-            aik = ai[k]
-            if aik:
-                bk = b[k]
-                for j in range(n):
-                    oi[j] += aik * bk[j]
-    return out
+def _primes():
+    """Primes below 2^26, largest first (Miller-Rabin with bases 2, 3, 5, 7 is exact there)."""
+    for m in range(2**26 - 1, 1, -2):
+        s = ((m - 1) & (1 - m)).bit_length() - 1  # m - 1 = d * 2^s with d odd
+        if all(
+            pow(a, (m - 1) >> s, m) == 1
+            or any(pow(a, (m - 1) >> r, m) == m - 1 for r in range(1, s + 1))
+            for a in (2, 3, 5, 7)
+        ):
+            yield m
+
+
+def _char_poly_mod(a: np.ndarray, p: int) -> np.ndarray:
+    """det(xI - A) mod a prime p < 2^26, lowest degree first.
+
+    A goes to upper Hessenberg form H by similarity; p_m = det(xI - H[:m, :m]) is
+    x p_{m-1} - sum_i c_i p_{i-1} with c_i = H[i-1, m-1] H[i, i-1] ... H[m-1, m-2]."""
+    h = a % p
+    n = len(h)
+    for j in range(n - 2):
+        i = j + 1 + int(np.argmax(h[j + 1 :, j] != 0))
+        if h[i, j] == 0:
+            continue
+        if i != j + 1:
+            h[[i, j + 1]] = h[[j + 1, i]]
+            h[:, [i, j + 1]] = h[:, [j + 1, i]]
+        u = h[j + 2 :, j] * pow(int(h[j + 1, j]), -1, p) % p
+        h[j + 2 :, j:] = (h[j + 2 :, j:] - np.outer(u, h[j + 1, j:])) % p
+        h[:, j + 1] = (h[:, j + 1] + (h[:, j + 2 :] * u % p).sum(axis=1)) % p
+    polys = np.eye(n + 1, dtype=np.int64)  # row m: p_m, monic of degree m
+    t = np.ones(n, dtype=np.int64)
+    for m in range(1, n + 1):
+        t[: m - 1] = t[: m - 1] * h[m - 1, m - 2] % p  # empty for m = 1
+        c = t[:m] * h[:m, m - 1] % p
+        polys[m, 1 : m + 1] = polys[m - 1, :m]
+        polys[m, :m] = (polys[m, :m] - (c[:, None] * polys[:m, :m] % p).sum(axis=0)) % p
+    return polys[n]
 
 
 def char_poly(g: OrientedGraph) -> IntPolynomial:
     """Characteristic polynomial det(xI - A) with exact integer coefficients.
 
-    Uses the Faddeev-LeVerrier recurrence; each division by the step index
-    is exact for integer matrices, and an inexact one raises
-    InconsistentExactCheckError.
+    The coefficient of x^(n-k) sums C(n, k) principal k x k minors, each at most
+    k^(k/2) (Hadamard).  Residues mod primes below 2^26 are combined by CRT until
+    the modulus exceeds twice that bound, so the symmetric lift is exact.  A result
+    not of the shape x^m * prod(x^2 + y_r^2) (monic of degree n, zero at odd
+    offsets from x^m, nonnegative elsewhere) raises InconsistentExactCheckError.
     """
     n = g.n
-    if n == 0:
-        return IntPolynomial((1,))
-    a = [[int(x) for x in row] for row in g.adjacency]
-    c = [0] * (n + 1)
-    c[n] = 1
-    m = [[0] * n for _ in range(n)]
-    for k in range(1, n + 1):
-        m = _matmul_int(a, m)
-        ck = c[n - k + 1]
-        for i in range(n):
-            m[i][i] += ck
-        am = _matmul_int(a, m)
-        trace = sum(am[i][i] for i in range(n))
-        if trace % k:
-            raise InconsistentExactCheckError(
-                f"Faddeev-LeVerrier trace {trace} is not divisible by {k}"
-            )
-        c[n - k] = -(trace // k)
-    return IntPolynomial(tuple(c))
+    bound = max(math.comb(n, k) * (math.isqrt(k**k - 1) + 1) for k in range(n + 1))
+    coeffs, modulus, primes = [0] * (n + 1), 1, _primes()
+    while modulus <= 2 * bound:
+        p = next(primes)
+        step, residues = pow(modulus, -1, p), _char_poly_mod(g.adjacency, p).tolist()
+        coeffs = [x + modulus * ((r - x) * step % p) for x, r in zip(coeffs, residues)]
+        modulus *= p
+    poly = IntPolynomial(tuple(x - modulus if 2 * x > modulus else x for x in coeffs))
+    even = poly.even_part()[1].coeffs
+    if poly.degree != n or even[-1] != 1 or any(even[1::2]) or min(even) < 0:
+        raise InconsistentExactCheckError(
+            f"characteristic polynomial {poly.coeffs} is not x^m times a monic "
+            "even polynomial with nonnegative coefficients"
+        )
+    return poly
 
 
 def square_free_part(m: int) -> int:
@@ -160,14 +186,7 @@ def quadratic_integer_profile(
     if not recognized:
         return None
     if poly is not None:
-        _, even = poly().even_part()
-        coeffs = even.coeffs
-        if any(coeffs[1::2]):
-            raise InconsistentExactCheckError(
-                "characteristic polynomial of a skew-symmetric matrix must have "
-                "only even-degree terms after stripping powers of x"
-            )
-        reduced = IntPolynomial(coeffs[0::2])  # q(z) with z = x^2
+        reduced = IntPolynomial(poly().even_part()[1].coeffs[0::2])  # q(z), z = x^2
         for c in recognized:
             if reduced(-c) != 0:
                 raise InconsistentExactCheckError(

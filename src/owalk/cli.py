@@ -92,12 +92,21 @@ def _emit_json(obj, indent: int = 0) -> str:
 # --- shared report helpers ------------------------------------------------
 
 
-def _sigma_multiple(t: float, sigma: float) -> Fraction | None:
+def _sigma_multiple(t: float, sigma: float, hint: Fraction | None = None) -> Fraction | None:
     """Rational p/q with t = (p/q)*sigma, or None.
 
     Accepts only |t/sigma - p/q| <= 1e-8/q^2 with q bounded, which a
     continued-fraction coincidence for an irrational ratio cannot meet.
+    First try the denominator q of hint, an earlier result: a passing
+    round(q*t/sigma)/q is the unique closest fraction, as limit_denominator finds.
     """
+    if hint:
+        (a, b), (c, d) = t.as_integer_ratio(), sigma.as_integer_ratio()
+        num, den, q = a * d, b * c, hint.denominator  # t/sigma = num/den
+        frac = Fraction((2 * num * q + den) // (2 * den), q)
+        p, q = frac.as_integer_ratio()
+        if p > 0 and abs(num * q - p * den) * q * 10**8 <= den:
+            return frac
     ratio = Fraction(t) / Fraction(sigma)
     frac = ratio.limit_denominator(RATIONAL_DENOMINATOR_LIMIT)
     if frac <= 0:
@@ -107,11 +116,10 @@ def _sigma_multiple(t: float, sigma: float) -> Fraction | None:
     return None
 
 
-def _time_with_sigma(t: float, sigma: float | None) -> tuple[str, str | None]:
-    """Human note and JSON tag relating a time to the period sigma."""
+def _sigma_note(frac: Fraction | None, sigma: float | None) -> tuple[str, str | None]:
+    """Human note and JSON tag relating a time, frac*sigma, to the period sigma."""
     if sigma is None:
         return "(source vertex is not periodic)", None
-    frac = _sigma_multiple(t, sigma)
     if frac is None:
         note = (
             f"not a rational multiple of sigma = {sigma!r} "
@@ -292,9 +300,10 @@ def _cmd_pst(args, g, report, lines) -> bool:
     else:
         certs = scan_pst(sd, args.a, args.b, t_max=args.t_max, tol=args.eff_tol)
     sigma = _sigma_of(sd, args.a) if certs else None
-    entries = []
+    entries, frac = [], None
     for cert in certs:
-        note, tag = _time_with_sigma(cert.time, sigma)
+        frac = None if sigma is None else _sigma_multiple(cert.time, sigma, frac)
+        note, tag = _sigma_note(frac, sigma)
         entries.append(
             {
                 "source": cert.source,

@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from owalk import build_graph, builtin_example, decompose, is_connected
+from owalk import IntPolynomial, build_graph, builtin_example, decompose, is_connected
+from owalk.errors import InconsistentExactCheckError
 
 
 def random_oriented_graph(rng, n, p=0.6):
@@ -25,6 +26,58 @@ def k3_power(d):
             digit = (v // 3**i) % 3
             edges.append((v, v + ((digit + 1) % 3 - digit) * 3**i))
     return build_graph(3**d, edges)
+
+
+def paley_tournament(q):
+    """Paley tournament on Z_q, q a prime = 3 mod 4: u -> v when v - u is a square."""
+    squares = {x * x % q for x in range(1, q)}
+    edges = [(u, v) for u in range(q) for v in range(q) if (v - u) % q in squares]
+    return build_graph(q, edges)
+
+
+def _matmul_int(a: list[list[int]], b: list[list[int]]) -> list[list[int]]:
+    n = len(a)
+    out = [[0] * n for _ in range(n)]
+    for i in range(n):
+        ai = a[i]
+        oi = out[i]
+        for k in range(n):
+            aik = ai[k]
+            if aik:
+                bk = b[k]
+                for j in range(n):
+                    oi[j] += aik * bk[j]
+    return out
+
+
+def faddeev_leverrier(g):
+    """Characteristic polynomial det(xI - A) with exact integer coefficients.
+
+    An oracle that shares no code with owalk's modular path: the
+    Faddeev-LeVerrier recurrence over Python integers, O(n^4); each
+    division by the step index is exact for integer matrices, and an
+    inexact one raises InconsistentExactCheckError.
+    """
+    n = g.n
+    if n == 0:
+        return IntPolynomial((1,))
+    a = [[int(x) for x in row] for row in g.adjacency]
+    c = [0] * (n + 1)
+    c[n] = 1
+    m = [[0] * n for _ in range(n)]
+    for k in range(1, n + 1):
+        m = _matmul_int(a, m)
+        ck = c[n - k + 1]
+        for i in range(n):
+            m[i][i] += ck
+        am = _matmul_int(a, m)
+        trace = sum(am[i][i] for i in range(n))
+        if trace % k:
+            raise InconsistentExactCheckError(
+                f"Faddeev-LeVerrier trace {trace} is not divisible by {k}"
+            )
+        c[n - k] = -(trace // k)
+    return IntPolynomial(tuple(c))
 
 
 def random_connected_graph(rng, n_max=5, p=0.6):

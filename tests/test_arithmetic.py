@@ -1,11 +1,25 @@
+import io
 import math
+from contextlib import redirect_stderr
 
+import numpy as np
 import pytest
+import sympy
 
-from owalk import IntPolynomial, build_graph, char_poly, quadratic_integer_profile, square_free_part
+import owalk.arithmetic
+from owalk import (
+    IntPolynomial,
+    build_graph,
+    builtin_example,
+    char_poly,
+    quadratic_integer_profile,
+    serialize_graph,
+    square_free_part,
+)
+from owalk.cli import main
 from owalk.errors import InconsistentExactCheckError
 
-from conftest import random_oriented_graph
+from conftest import faddeev_leverrier, k3_power, paley_tournament, random_oriented_graph
 
 
 # -- cofactor-expansion oracle over polynomial entries ----------------------
@@ -86,6 +100,68 @@ def test_char_poly_parity_structure(rng):
                 assert p.coeffs[k] == 0
             else:
                 assert p.coeffs[k] >= 0
+
+
+def oriented_cycle(n):
+    return build_graph(n, [(i, (i + 1) % n) for i in range(n)])
+
+
+def test_char_poly_matches_faddeev_leverrier():
+    rng = np.random.default_rng(20261018)
+    graphs = [random_oriented_graph(rng, n) for n in (8, 13, 21, 32, 40)]
+    graphs += [k3_power(2), k3_power(3), builtin_example("mst8")]
+    graphs += [oriented_cycle(n) for n in range(3, 17)]
+    for g in graphs:
+        assert char_poly(g).coeffs == faddeev_leverrier(g).coeffs, g
+
+
+def test_char_poly_paley_closed_form():
+    # S^2 = J - qI and S J = 0 give det(xI - S) = x (x^2 + q)^((q-1)/2)
+    primes = [q for q in range(3, 84) if all(q % d for d in range(2, q))]
+    for q in (q for q in primes if q % 4 == 3):
+        g = paley_tournament(q)
+        h = (q - 1) // 2
+        expected = [0] * (q + 1)
+        for k in range(h + 1):
+            expected[2 * k + 1] = math.comb(h, k) * q ** (h - k)
+        assert char_poly(g).coeffs == tuple(expected), q
+
+
+def test_char_poly_matches_sympy():
+    rng = np.random.default_rng(1618)
+    for n in (5, 7, 9, 11, 14, 16):
+        g = random_oriented_graph(rng, n)
+        coeffs = sympy.Matrix(g.adjacency.tolist()).charpoly().all_coeffs()
+        assert char_poly(g).coeffs == tuple(int(c) for c in reversed(coeffs)), n
+
+
+def test_char_poly_structure_guard(tmp_path, monkeypatch):
+    # Paley 43 needs five primes; the third one's residue is off by one in
+    # the middle coefficient, at an odd offset from x^1, where the exact
+    # coefficient is 0: the lift is no longer x^m times an even polynomial
+    q, mid = 43, 22
+    g = paley_tournament(q)
+    assert char_poly(g).coeffs[mid] == 0
+    real = owalk.arithmetic._char_poly_mod
+    calls = []
+
+    def off_by_one(a, p):
+        residues = real(a, p)
+        calls.append(p)
+        if len(calls) == 3:
+            residues[mid] = (residues[mid] + 1) % p
+        return residues
+
+    monkeypatch.setattr(owalk.arithmetic, "_char_poly_mod", off_by_one)
+    with pytest.raises(InconsistentExactCheckError):
+        char_poly(g)
+    assert len(calls) == 5
+    path = tmp_path / "paley43.og"
+    path.write_text(serialize_graph(g))
+    calls.clear()
+    with redirect_stderr(io.StringIO()) as err:
+        assert main(["spectrum", str(path)]) == 3
+    assert "InconsistentExactCheckError" in err.getvalue()
 
 
 def test_int_polynomial_basics():

@@ -4,13 +4,14 @@ import math
 import subprocess
 import sys
 from contextlib import redirect_stdout
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
 import owalk.arithmetic
 from owalk import serialize_graph
-from owalk.cli import main
+from owalk.cli import _sigma_multiple, main
 
 from conftest import k3_power, random_oriented_graph
 
@@ -278,3 +279,20 @@ def test_char_poly_computed_lazily_and_once(tmp_path, monkeypatch):
     report = run("mst", str(k3pow3))
     assert report["mst"]
     assert calls == [27]
+
+
+def test_sigma_hint_answers_as_limit_denominator():
+    # a hinted denominator may only save work: with or without a hint, the
+    # sigma multiple of a time is the one limit_denominator finds
+    rng = np.random.default_rng(31)
+    hints = [Fraction(1, 3), Fraction(2, 7), Fraction(5, 6)]
+    hints += [Fraction(1, 999983), Fraction(7, 10**6)]
+    for sigma in (2 * math.pi / math.sqrt(3), math.pi / math.sqrt(7), 2 * math.pi):
+        for _ in range(200):
+            p, q = int(rng.integers(-3, 20000)), int(rng.integers(1, 50))
+            exact = p / q * sigma
+            noise = float(rng.random() * 1e4)
+            for t in (exact, exact * (1 + 1e-12), exact * (1 + 1e-7), noise):
+                expected = _sigma_multiple(t, sigma)
+                for hint in hints + [Fraction(p or 1, q)]:
+                    assert _sigma_multiple(t, sigma, hint) == expected, (t, sigma, hint)
