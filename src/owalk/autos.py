@@ -13,6 +13,19 @@ Entrywise the exact identity reads
 The identity permutation with all signs -1 is always a switching
 automorphism; the search therefore reports it, and suppresses only the
 identity-with-all-+1 matrix unless nothing else exists.
+
+The group is found as a stabilizer chain along the breadth-first base of
+``_assignment_order`` (McKay & Piperno, Practical graph isomorphism II,
+2014; Seress, Permutation Group Algorithms, 2003).  Level i holds the
+automorphisms fixing every earlier base vertex with sign +1.  From the
+last level up, each image (w, s) of the level's base vertex b not yet in
+the orbit of (b, +1) gets a backtracking search that stops at its first
+leaf, a new generator; the orbit closed under the generators gives one
+transversal element per point.  Branches die once the images still open
+to the unassigned vertices cannot be matched one-to-one.  The group is
+listed as products of one transversal element per level (level 0's sign
+pinned to +1), each then emitted again negated.  ``node_budget`` counts
+candidate images tried by all searches, plus n per element listed.
 """
 
 from __future__ import annotations
@@ -46,14 +59,6 @@ class SwitchingAutomorphism:
     def apply(self, a: int) -> int:
         return self.perm[a]
 
-    def matrix_of(self) -> np.ndarray:
-        """Monomial matrix with entry signs[perm[u]] at (perm[u], u)."""
-        n = len(self.perm)
-        m = np.zeros((n, n), dtype=np.int64)
-        for u in range(n):
-            m[self.perm[u], u] = self.signs[self.perm[u]]
-        return m
-
     @property
     def order(self) -> int:
         """Smallest k >= 1 with the k-th matrix power equal to the identity.
@@ -78,6 +83,13 @@ def compose(
     outer: SwitchingAutomorphism, inner: SwitchingAutomorphism
 ) -> SwitchingAutomorphism:
     """Automorphism acting as ``inner`` first, then ``outer``."""
+    return _compose(outer, inner)
+
+
+def _compose(
+    outer: SwitchingAutomorphism, inner: SwitchingAutomorphism
+) -> SwitchingAutomorphism:
+    # compose's body; private, so that tracers wrapping public functions count it as search
     n = len(inner.perm)
     perm = tuple(outer.perm[inner.perm[u]] for u in range(n))
     signs = [1] * n
@@ -101,16 +113,11 @@ def is_switching_automorphism(g: OrientedGraph, p: SwitchingAutomorphism) -> boo
     """Exact integer check of the defining identity P^T A P = A."""
     a = g.adjacency
     n = g.n
-    if sorted(p.perm) != list(range(n)) or any(s not in (-1, 1) for s in p.signs):
+    if sorted(p.perm) != list(range(n)) or len(p.signs) != n or not set(p.signs) <= {-1, 1}:
         return False
-    for u in range(n):
-        pu = p.perm[u]
-        su = p.signs[pu]
-        for v in range(n):
-            pv = p.perm[v]
-            if su * p.signs[pv] * a[pu, pv] != a[u, v]:
-                return False
-    return True
+    perm = np.array(p.perm, dtype=np.int64)
+    t = np.array(p.signs, dtype=np.int64)[perm]
+    return bool((t[:, None] * t * a[perm][:, perm] == a).all())
 
 
 def _assignment_order(g: OrientedGraph) -> list[int]:
@@ -141,92 +148,113 @@ def find_switching_automorphisms(
     g: OrientedGraph,
     node_budget: int = DEFAULT_NODE_BUDGET,
 ) -> list[SwitchingAutomorphism]:
-    """Enumerate switching automorphisms by backtracking.
+    """Every switching automorphism, from a stabilizer chain (module docstring).
 
-    Candidates are pruned by degree and by exact consistency with all
-    previously assigned vertices; signs propagate along edges, so free
-    sign choices arise only at the first vertex of each connected
-    component (the very first is pinned to +1 and both global signs are
-    emitted afterward, since negating every sign preserves the identity).
-
-    Results are sorted lexicographically by (perm, signs).  The identity
-    permutation with all +1 signs is omitted unless it is the only
-    automorphism.  ``node_budget`` bounds the number of search steps
-    (SearchBudgetExceededError).
+    Results are sorted lexicographically by (perm, signs), and each one is
+    checked exactly (VerificationFailedError).  The identity permutation
+    with all +1 signs is omitted unless it is the only automorphism.
+    ``node_budget`` bounds the candidate images tried by all searches
+    together plus n per listed element (SearchBudgetExceededError).
     """
     n = g.n
     if n == 0:
         return [SwitchingAutomorphism((), ())]
-    a = g.adjacency
-    degrees = [g.degree(u) for u in range(n)]
-    order = _assignment_order(g)
-    img = [-1] * n
-    t = [0] * n  # sign factor seen from the source: t[u] = signs[img[u]]
-    used = [False] * n
+    rows = g.adjacency.tolist()
+    base = _assignment_order(g)
+    identity = SwitchingAutomorphism(tuple(range(n)), (1,) * n)
+    img, signs = list(range(n)), [1] * n  # the assignment; signs indexed by image
     nodes = 0
-    found: set[tuple[tuple[int, ...], tuple[int, ...]]] = set()
-
-    def consistent(u: int, w: int, tu: int) -> bool:
-        for v in order:
-            iv = img[v]
-            if iv < 0 or v == u:
-                continue
-            if tu * t[v] * a[w, iv] != a[u, v]:
-                return False
-        return True
-
-    def extend(pos: int):
-        nonlocal nodes
-        if pos == n:
-            perm = tuple(img)
-            signs = [0] * n
-            for u in range(n):
-                signs[img[u]] = t[u]
-            found.add((perm, tuple(signs)))
-            found.add((perm, tuple(-s for s in signs)))
-            return
-        u = order[pos]
-        anchored = [v for v in order[:pos] if a[u, v] != 0]
-        for w in range(n):
-            if used[w] or degrees[w] != degrees[u]:
-                continue
-            nodes += 1
-            if nodes > node_budget:
-                raise SearchBudgetExceededError(
-                    f"automorphism search exceeded {node_budget} nodes"
-                )
-            if anchored:
-                v0 = anchored[0]
-                ref = a[w, img[v0]]
-                if ref == 0:
-                    continue
-                # entries are +-1, so dividing equals multiplying
-                tu = int(a[u, v0]) * t[v0] * int(ref)
-                sign_options = (tu,)
-            elif pos == 0:
-                sign_options = (1,)  # global sign quotient, re-emitted later
-            else:
-                sign_options = (1, -1)
-            for tu in sign_options:
-                if not consistent(u, w, tu):
-                    continue
-                img[u] = w
-                t[u] = tu
-                used[w] = True
-                extend(pos + 1)
-                img[u] = -1
-                t[u] = 0
-                used[w] = False
-
-    extend(0)
-    autos = [
-        SwitchingAutomorphism(perm, signs) for perm, signs in sorted(found)
+    # by_value[w][c + 1]: bit mask of the vertices y with A[y][w] == c
+    by_value = [
+        [sum(1 << y for y in range(n) if rows[y][w] == c) for c in (-1, 0, 1)] for w in range(n)
     ]
+
+    def fix(ok: list, pos: int, w: int, s: int) -> list | None:
+        # ok[x]: bit masks of the y that x may still go to with sign +1 and -1;
+        # sending base[pos] to (w, s) must keep A exact on every pair with it
+        u, col, unused = base[pos], by_value[w], ~(1 << w)
+        ok = [
+            (p & col[s * rows[x][u] + 1] & unused, m & col[1 - s * rows[x][u]] & unused)
+            for x, (p, m) in enumerate(ok)
+        ]
+        # the unassigned vertices must go one-to-one onto the unused ones;
+        # compatibility splits both into blocks (equal masks), which need equal sides
+        blocks: dict[int, int] = {}
+        for x in base[pos + 1 :]:
+            blocks[ok[x][0] | ok[x][1]] = blocks.get(ok[x][0] | ok[x][1], 0) + 1
+        return ok if all(m.bit_count() == k for m, k in blocks.items()) else None
+
+    def spend(count: int) -> None:
+        nonlocal nodes
+        nodes += count
+        if nodes > node_budget:
+            raise SearchBudgetExceededError(f"automorphism search exceeded {node_budget} nodes")
+
+    def candidates(ok: list, pos: int) -> list[tuple[int, int]]:
+        plus, minus = ok[base[pos]]
+        found = [(w, s) for w in range(n) for s, m in ((1, plus), (-1, minus)) if m >> w & 1]
+        spend(len(found))
+        return found
+
+    def first_leaf(ok: list, pos: int, w: int, s: int) -> SwitchingAutomorphism | None:
+        # first automorphism that extends the assignment with base[pos] -> (w, s)
+        ok = fix(ok, pos, w, s)
+        if ok is None:
+            return None
+        img[base[pos]], signs[w] = w, s
+        if pos == n - 1:
+            return SwitchingAutomorphism(tuple(img), tuple(signs))
+        for w, s in candidates(ok, pos + 1):
+            leaf = first_leaf(ok, pos + 1, w, s)
+            if leaf is not None:
+                return leaf
+        return None
+
+    degrees = [sum(map(abs, row)) for row in rows]
+    same = {d: sum(1 << y for y in range(n) if degrees[y] == d) for d in set(degrees)}
+    ok = [(same[d], same[d]) for d in degrees]
+    prefix_ok = []  # entry i: base[:i] fixed with sign +1
+    for pos in range(n):
+        prefix_ok.append(ok)
+        ok = fix(ok, pos, base[pos], 1)
+    generators: list[SwitchingAutomorphism] = []
+    listed = [identity]
+    for level in reversed(range(n)):
+        ok, u = prefix_ok.pop(), base[level]
+        orbit = _orbit(generators, u, identity)
+        for w, s in candidates(ok, level):
+            if (w, s) in orbit or (level == 0 and s == -1):
+                continue
+            leaf = first_leaf(ok, level, w, s)
+            if leaf is not None:
+                generators.append(leaf)
+                orbit = _orbit(generators, u, identity)
+        reps = [rep for (w, s), rep in orbit.items() if level or s == 1]
+        if len(reps) > 1:
+            spend(n * len(reps) * len(listed))  # the leaves' paths, as if walked
+            listed = [_compose(rep, below) for rep in reps for below in listed]
+    listed += [SwitchingAutomorphism(p.perm, tuple(-x for x in p.signs)) for p in listed]
+    autos = sorted(listed, key=lambda p: (p.perm, p.signs))
     for p in autos:
         if not is_switching_automorphism(g, p):
             raise VerificationFailedError(
                 f"search produced perm={p.perm} signs={p.signs}, which fails P^T A P = A"
             )
-    trivial = SwitchingAutomorphism(tuple(range(n)), (1,) * n)
-    nontrivial = [p for p in autos if p != trivial]
+    nontrivial = [p for p in autos if p != identity]
     return nontrivial if nontrivial else autos
+
+
+def _orbit(
+    generators: list[SwitchingAutomorphism], u: int, identity: SwitchingAutomorphism
+) -> dict[tuple[int, int], SwitchingAutomorphism]:
+    """Orbit of (u, +1) under the generators, with one element reaching each point."""
+    reps = {(u, 1): identity}
+    queue = [(u, 1)]
+    for v, s in queue:
+        for gen in generators:
+            w = gen.perm[v]
+            point = (w, s * gen.signs[w])
+            if point not in reps:
+                reps[point] = _compose(gen, reps[(v, s)])
+                queue.append(point)
+    return reps

@@ -34,7 +34,6 @@ __all__ = [
     "SpectralDecomposition",
     "decompose",
     "transition_matrix",
-    "cluster_values",
 ]
 
 DEFAULT_GROUPING_TOL = 1e-8

@@ -1,8 +1,21 @@
 import numpy as np
 import pytest
 
-from owalk import IntPolynomial, build_graph, builtin_example, decompose, is_connected
-from owalk.errors import InconsistentExactCheckError
+from owalk import (
+    IntPolynomial,
+    SwitchingAutomorphism,
+    build_graph,
+    builtin_example,
+    decompose,
+    is_connected,
+    is_switching_automorphism,
+)
+from owalk.autos import _assignment_order
+from owalk.errors import (
+    InconsistentExactCheckError,
+    SearchBudgetExceededError,
+    VerificationFailedError,
+)
 
 
 def random_oriented_graph(rng, n, p=0.6):
@@ -182,3 +195,108 @@ def grid_scan(sd, a, b, t_max, points=8192):
             continue
         events.append((float(t), 1 if value.real > 0 else -1))
     return events
+
+
+def monomial_matrix(p):
+    """Monomial matrix of a switching automorphism: signs[perm[u]] at (perm[u], u)."""
+    n = len(p.perm)
+    m = np.zeros((n, n), dtype=np.int64)
+    for u in range(n):
+        m[p.perm[u], u] = p.signs[p.perm[u]]
+    return m
+
+
+def exhaustive_autos(g, node_budget=10**8):
+    """Switching automorphisms by backtracking to every leaf; a test oracle.
+
+    It reaches each automorphism as its own leaf, with no orbits,
+    generators or transversals, and shares with owalk's stabilizer chain
+    only the base order and the exact check.
+
+    Candidates are pruned by degree and by exact consistency with all
+    previously assigned vertices; signs propagate along edges, so free
+    sign choices arise only at the first vertex of each connected
+    component (the very first is pinned to +1 and both global signs are
+    emitted afterward, since negating every sign preserves the identity).
+
+    Results are sorted lexicographically by (perm, signs).  The identity
+    permutation with all +1 signs is omitted unless it is the only
+    automorphism.  ``node_budget`` bounds the number of search steps
+    (SearchBudgetExceededError).
+    """
+    n = g.n
+    if n == 0:
+        return [SwitchingAutomorphism((), ())]
+    a = g.adjacency
+    degrees = [g.degree(u) for u in range(n)]
+    order = _assignment_order(g)
+    img = [-1] * n
+    t = [0] * n  # sign factor seen from the source: t[u] = signs[img[u]]
+    used = [False] * n
+    nodes = 0
+    found: set[tuple[tuple[int, ...], tuple[int, ...]]] = set()
+
+    def consistent(u: int, w: int, tu: int) -> bool:
+        for v in order:
+            iv = img[v]
+            if iv < 0 or v == u:
+                continue
+            if tu * t[v] * a[w, iv] != a[u, v]:
+                return False
+        return True
+
+    def extend(pos: int):
+        nonlocal nodes
+        if pos == n:
+            perm = tuple(img)
+            signs = [0] * n
+            for u in range(n):
+                signs[img[u]] = t[u]
+            found.add((perm, tuple(signs)))
+            found.add((perm, tuple(-s for s in signs)))
+            return
+        u = order[pos]
+        anchored = [v for v in order[:pos] if a[u, v] != 0]
+        for w in range(n):
+            if used[w] or degrees[w] != degrees[u]:
+                continue
+            nodes += 1
+            if nodes > node_budget:
+                raise SearchBudgetExceededError(
+                    f"automorphism search exceeded {node_budget} nodes"
+                )
+            if anchored:
+                v0 = anchored[0]
+                ref = a[w, img[v0]]
+                if ref == 0:
+                    continue
+                # entries are +-1, so dividing equals multiplying
+                tu = int(a[u, v0]) * t[v0] * int(ref)
+                sign_options = (tu,)
+            elif pos == 0:
+                sign_options = (1,)  # global sign quotient, re-emitted later
+            else:
+                sign_options = (1, -1)
+            for tu in sign_options:
+                if not consistent(u, w, tu):
+                    continue
+                img[u] = w
+                t[u] = tu
+                used[w] = True
+                extend(pos + 1)
+                img[u] = -1
+                t[u] = 0
+                used[w] = False
+
+    extend(0)
+    autos = [
+        SwitchingAutomorphism(perm, signs) for perm, signs in sorted(found)
+    ]
+    for p in autos:
+        if not is_switching_automorphism(g, p):
+            raise VerificationFailedError(
+                f"search produced perm={p.perm} signs={p.signs}, which fails P^T A P = A"
+            )
+    trivial = SwitchingAutomorphism(tuple(range(n)), (1,) * n)
+    nontrivial = [p for p in autos if p != trivial]
+    return nontrivial if nontrivial else autos

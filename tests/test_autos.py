@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 
@@ -14,7 +16,13 @@ from owalk import (
 )
 from owalk.errors import SearchBudgetExceededError
 
-from conftest import k3_power, random_oriented_graph
+from conftest import (
+    exhaustive_autos,
+    k3_power,
+    monomial_matrix,
+    paley_tournament,
+    random_oriented_graph,
+)
 
 
 def test_k3_census(k3):
@@ -40,6 +48,15 @@ def test_cyclic_shift_is_automorphism(k3):
     assert not is_switching_automorphism(k3, bad)
 
 
+def test_one_flipped_sign_is_rejected(mst8):
+    for p in find_switching_automorphisms(mst8):
+        for w in range(mst8.n):
+            signs = list(p.signs)
+            signs[w] = -signs[w]
+            flipped = SwitchingAutomorphism(p.perm, tuple(signs))
+            assert not is_switching_automorphism(mst8, flipped), (p, w)
+
+
 def test_negation_always_present(rng):
     for _ in range(10):
         g = random_oriented_graph(rng, int(rng.integers(1, 7)))
@@ -60,7 +77,7 @@ def test_matrix_conjugation_exact(rng):
     for _ in range(10):
         g = random_oriented_graph(rng, int(rng.integers(2, 7)))
         for p in find_switching_automorphisms(g)[:6]:
-            m = p.matrix_of()
+            m = monomial_matrix(p)
             assert (m.T @ g.adjacency @ m == g.adjacency).all()
 
 
@@ -68,7 +85,7 @@ def test_automorphisms_commute_with_propagator(k3_sd, mst8_sd):
     for sd in (k3_sd, mst8_sd):
         autos = find_switching_automorphisms(sd.graph)[:8]
         for p in autos:
-            m = p.matrix_of().astype(float)
+            m = monomial_matrix(p).astype(float)
             for t in (0.37, 1.91):
                 u = transition_matrix(sd, t)
                 assert np.linalg.norm(m.T @ u @ m - u) < 1e-8
@@ -120,7 +137,7 @@ def test_compose_matches_matrix_product(rng):
         p2 = SwitchingAutomorphism(perm2, signs2)
         combined = compose(p1, p2)
         assert (
-            combined.matrix_of() == p1.matrix_of() @ p2.matrix_of()
+            monomial_matrix(combined) == monomial_matrix(p1) @ monomial_matrix(p2)
         ).all()
 
 
@@ -142,3 +159,38 @@ def test_every_result_verifies(rng):
         g = random_oriented_graph(rng, int(rng.integers(1, 7)))
         for p in find_switching_automorphisms(g):
             assert is_switching_automorphism(g, p)
+
+
+def test_search_matches_exhaustive_oracle(rng):
+    graphs = [builtin_example(name) for name in ("k3", "mst8", "irrational5")]
+    graphs += [build_graph(n, [(i, (i + 1) % n) for i in range(n)]) for n in range(3, 13)]
+    graphs += [k3_power(d) for d in (1, 2, 3)]
+    graphs += [paley_tournament(q) for q in (7, 11)]
+    graphs.append(build_graph(6, [(0, 1), (1, 2), (2, 0), (3, 4), (4, 5), (5, 3)]))
+    graphs.append(build_graph(4, [(0, 1), (1, 2), (2, 0)]))
+    graphs += [random_oriented_graph(rng, int(rng.integers(1, 9))) for _ in range(60)]
+    for g in graphs:
+        assert find_switching_automorphisms(g) == exhaustive_autos(g), g.edges
+
+
+def test_search_matches_brute_force(rng):
+    # every signed permutation of n <= 5 vertices, kept when P^T A P = A
+    for _ in range(12):
+        g = random_oriented_graph(rng, int(rng.integers(1, 6)))
+        a, n = g.adjacency, g.n
+        group = []
+        for perm in itertools.permutations(range(n)):
+            for signs in itertools.product((1, -1), repeat=n):
+                m = monomial_matrix(SwitchingAutomorphism(perm, signs))
+                if (m.T @ a @ m == a).all():
+                    group.append(SwitchingAutomorphism(perm, signs))
+        found = set(find_switching_automorphisms(g))
+        found.add(SwitchingAutomorphism(tuple(range(n)), (1,) * n))
+        assert found == set(group), g.edges
+
+
+@pytest.mark.parametrize("q", [7, 11, 19, 23, 31])
+def test_paley_group_order(q):
+    # x -> ax + b with a a nonzero square, each with all signs +1 or all
+    # -1: q(q - 1) elements, of which the identity is not reported
+    assert len(find_switching_automorphisms(paley_tournament(q))) == q * (q - 1) - 1
