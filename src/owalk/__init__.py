@@ -10,7 +10,6 @@ produces numerically verified certificates for each.
 from .arithmetic import IntPolynomial, char_poly, quadratic_integer_profile, square_free_part
 from .autos import (
     SwitchingAutomorphism,
-    compose,
     find_switching_automorphisms,
     is_switching_automorphism,
     orbit,
@@ -26,7 +25,6 @@ from .errors import (
     GraphParseError,
     InputError,
     InternalInconsistencyError,
-    NotCospectralError,
     NotPeriodicError,
     NotStronglyCospectralError,
     NoValidMError,
@@ -44,12 +42,7 @@ from .graph import (
     serialize_graph,
 )
 from .periodicity import PeriodicityCertificate, is_periodic, verify_period
-from .spectral import (
-    SpectralDecomposition,
-    decompose,
-    propagator_column,
-    transition_matrix,
-)
+from .spectral import SpectralDecomposition, decompose, propagator_column
 from .transfer import (
     MSTCertificate,
     TransferCertificate,
@@ -73,7 +66,6 @@ __all__ = [
     "InternalInconsistencyError",
     "MSTCertificate",
     "NoValidMError",
-    "NotCospectralError",
     "NotPeriodicError",
     "NotStronglyCospectralError",
     "OrientedGraph",
@@ -88,7 +80,6 @@ __all__ = [
     "builtin_example",
     "char_poly",
     "complete_char",
-    "compose",
     "decompose",
     "eigenvalue_support",
     "find_switching_automorphisms",
@@ -105,7 +96,6 @@ __all__ = [
     "serialize_graph",
     "square_free_part",
     "strong_cospectrality",
-    "transition_matrix",
     "verify_period",
     "verify_pst",
     "__version__",

@@ -14,18 +14,22 @@ The identity permutation with all signs -1 is always a switching
 automorphism; the search therefore reports it, and suppresses only the
 identity-with-all-+1 matrix unless nothing else exists.
 
-The group is found as a stabilizer chain along the breadth-first base of
-``_assignment_order`` (McKay & Piperno, Practical graph isomorphism II,
-2014; Seress, Permutation Group Algorithms, 2003).  Level i holds the
-automorphisms fixing every earlier base vertex with sign +1.  From the
-last level up, each image (w, s) of the level's base vertex b not yet in
-the orbit of (b, +1) gets a backtracking search that stops at its first
-leaf, a new generator; the orbit closed under the generators gives one
-transversal element per point.  Branches die once the images still open
-to the unassigned vertices cannot be matched one-to-one.  The group is
-listed as products of one transversal element per level (level 0's sign
-pinned to +1), each then emitted again negated.  ``node_budget`` counts
-candidate images tried by all searches, plus n per element listed.
+The group is found as a stabilizer chain along a breadth-first base, the
+vertices in the order ``graph._components`` visits them (McKay & Piperno,
+Practical graph isomorphism II, 2014; Seress, Permutation Group
+Algorithms, 2003).  Level i holds the automorphisms fixing every earlier
+base vertex with sign +1.  From the last level up, each image (w, s) of
+the level's base vertex b not yet in the orbit of (b, +1) gets a
+backtracking search that stops at its first leaf, a new generator; the
+orbit closed under the generators gives one transversal element per
+point.  Branches die once the images still open to the unassigned
+vertices cannot be matched one-to-one.  The group is listed as products
+of one transversal element per level (level 0's sign pinned to +1), each
+then emitted again negated.  ``node_budget`` counts candidate images
+tried by all searches, plus n per element listed.
+
+``SwitchingAutomorphism.cycles`` is the one cycle walk: ``order`` reads
+it, and ``transfer.mst_search`` tries each cycle from its least vertex.
 """
 
 from __future__ import annotations
@@ -36,13 +40,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import SearchBudgetExceededError, VerificationFailedError
-from .graph import OrientedGraph
+from .graph import OrientedGraph, _components
 
 __all__ = [
     "SwitchingAutomorphism",
     "find_switching_automorphisms",
     "is_switching_automorphism",
-    "compose",
     "orbit",
 ]
 
@@ -59,6 +62,16 @@ class SwitchingAutomorphism:
     def apply(self, a: int) -> int:
         return self.perm[a]
 
+    def cycles(self) -> tuple[tuple[int, ...], ...]:
+        """The cycles of ``perm``, each from its least vertex, in order of that vertex."""
+        seen: set[int] = set()
+        out = []
+        for u in range(len(self.perm)):
+            if u not in seen:
+                out.append(orbit(self, u))
+                seen.update(out[-1])
+        return tuple(out)
+
     @property
     def order(self) -> int:
         """Smallest k >= 1 with the k-th matrix power equal to the identity.
@@ -67,29 +80,21 @@ class SwitchingAutomorphism:
         signs of the cycle's vertices, so each cycle needs L steps, or 2L
         when that product is -1; the order is the lcm over the cycles.
         """
-        seen: set[int] = set()
-        cycle_orders = []
-        for u in range(len(self.perm)):
-            if u in seen:
-                continue
-            cycle = orbit(self, u)
-            seen.update(cycle)
-            sign = math.prod(self.signs[w] for w in cycle)
-            cycle_orders.append(len(cycle) if sign == 1 else 2 * len(cycle))
-        return math.lcm(*cycle_orders)
-
-
-def compose(
-    outer: SwitchingAutomorphism, inner: SwitchingAutomorphism
-) -> SwitchingAutomorphism:
-    """Automorphism acting as ``inner`` first, then ``outer``."""
-    return _compose(outer, inner)
+        return math.lcm(
+            *(
+                len(c) if math.prod(self.signs[w] for w in c) == 1 else 2 * len(c)
+                for c in self.cycles()
+            )
+        )
 
 
 def _compose(
     outer: SwitchingAutomorphism, inner: SwitchingAutomorphism
 ) -> SwitchingAutomorphism:
-    # compose's body; private, so that tracers wrapping public functions count it as search
+    """Automorphism acting as ``inner`` first, then ``outer``.
+
+    Private, so that tracers wrapping public functions count it as search.
+    """
     n = len(inner.perm)
     perm = tuple(outer.perm[inner.perm[u]] for u in range(n))
     signs = [1] * n
@@ -120,30 +125,6 @@ def is_switching_automorphism(g: OrientedGraph, p: SwitchingAutomorphism) -> boo
     return bool((t[:, None] * t * a[perm][:, perm] == a).all())
 
 
-def _assignment_order(g: OrientedGraph) -> list[int]:
-    # breadth-first order so that every non-root vertex has an assigned
-    # neighbor when reached, forcing its sign instead of branching
-    neighbors: list[list[int]] = [[] for _ in range(g.n)]
-    for u, v in g.edges:
-        neighbors[u].append(v)
-        neighbors[v].append(u)
-    order: list[int] = []
-    seen = [False] * g.n
-    for root in range(g.n):
-        if seen[root]:
-            continue
-        seen[root] = True
-        queue = [root]
-        while queue:
-            u = queue.pop(0)
-            order.append(u)
-            for w in sorted(neighbors[u]):
-                if not seen[w]:
-                    seen[w] = True
-                    queue.append(w)
-    return order
-
-
 def find_switching_automorphisms(
     g: OrientedGraph,
     node_budget: int = DEFAULT_NODE_BUDGET,
@@ -160,7 +141,7 @@ def find_switching_automorphisms(
     if n == 0:
         return [SwitchingAutomorphism((), ())]
     rows = g.adjacency.tolist()
-    base = _assignment_order(g)
+    base = [v for part in _components(g) for v in part]
     identity = SwitchingAutomorphism(tuple(range(n)), (1,) * n)
     img, signs = list(range(n)), [1] * n  # the assignment; signs indexed by image
     nodes = 0

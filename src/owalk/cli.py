@@ -27,6 +27,7 @@ from .autos import find_switching_automorphisms
 from .cospectral import eigenvalue_support, strong_cospectrality
 from .errors import (
     DisconnectedGraphError,
+    GraphParseError,
     InputError,
     OwalkError,
     UnknownExampleError,
@@ -92,28 +93,28 @@ def _emit_json(obj, indent: int = 0) -> str:
 # --- shared report helpers ------------------------------------------------
 
 
-def _sigma_multiple(t: float, sigma: float, hint: Fraction | None = None) -> Fraction | None:
+def _sigma_multiple(t: float, sigma: float) -> Fraction | None:
     """Rational p/q with t = (p/q)*sigma, or None.
 
-    Accepts only |t/sigma - p/q| <= 1e-8/q^2 with q bounded, which a
-    continued-fraction coincidence for an irrational ratio cannot meet.
-    First try the denominator q of hint, an earlier result: a passing
-    round(q*t/sigma)/q is the unique closest fraction, as limit_denominator finds.
+    Accepts only p > 0 and |t/sigma - p/q| <= 1e-8/q^2 with q at most
+    RATIONAL_DENOMINATOR_LIMIT, which a continued-fraction coincidence for
+    an irrational ratio cannot meet.  By Legendre's theorem such a p/q is
+    a convergent of t/sigma, and the closest fraction with q in range, so
+    the walk over the convergents stops at the first that passes.  With
+    x' the next complete quotient, t/sigma - p/q = +-1/(q*(q*x' + q_prev)),
+    so the gate is an integer comparison.
     """
-    if hint:
-        (a, b), (c, d) = t.as_integer_ratio(), sigma.as_integer_ratio()
-        num, den, q = a * d, b * c, hint.denominator  # t/sigma = num/den
-        frac = Fraction((2 * num * q + den) // (2 * den), q)
-        p, q = frac.as_integer_ratio()
-        if p > 0 and abs(num * q - p * den) * q * 10**8 <= den:
-            return frac
-    ratio = Fraction(t) / Fraction(sigma)
-    frac = ratio.limit_denominator(RATIONAL_DENOMINATOR_LIMIT)
-    if frac <= 0:
-        return None
-    if abs(ratio - frac) * frac.denominator**2 * 10**8 <= 1:
-        return frac
-    return None
+    (a, b), (c, d) = t.as_integer_ratio(), sigma.as_integer_ratio()
+    num, den = a * d, b * c  # t/sigma = num/den, den > 0
+    p_prev, q_prev, p, q = 0, 1, 1, 0
+    while True:
+        quotient, rest = divmod(num, den)
+        p_prev, q_prev, p, q = p, q, quotient * p + p_prev, quotient * q + q_prev
+        if q > RATIONAL_DENOMINATOR_LIMIT:
+            return None
+        num, den = den, rest  # x' = num/den, infinite once den is 0
+        if 10**8 * q * den <= q * num + q_prev * den:
+            return Fraction(p, q) if p > 0 else None
 
 
 def _sigma_note(frac: Fraction | None, sigma: float | None) -> tuple[str, str | None]:
@@ -153,8 +154,12 @@ def _poly_str(p: IntPolynomial) -> str:
 
 def _load_graph(arg: str) -> tuple[OrientedGraph, str]:
     if os.path.exists(arg):
-        with open(arg, "r", encoding="utf-8") as handle:
-            return parse_graph(handle.read()), arg
+        try:
+            with open(arg, "r", encoding="utf-8") as handle:
+                text = handle.read()
+        except (OSError, UnicodeDecodeError) as exc:
+            raise GraphParseError(f"cannot read graph file {arg!r}: {exc}") from None
+        return parse_graph(text), arg
     if arg in BUILTIN_NAMES:
         return builtin_example(arg), arg
     raise UnknownExampleError(
@@ -300,9 +305,9 @@ def _cmd_pst(args, g, report, lines) -> bool:
     else:
         certs = scan_pst(sd, args.a, args.b, t_max=args.t_max, tol=args.eff_tol)
     sigma = _sigma_of(sd, args.a) if certs else None
-    entries, frac = [], None
+    entries = []
     for cert in certs:
-        frac = None if sigma is None else _sigma_multiple(cert.time, sigma, frac)
+        frac = None if sigma is None else _sigma_multiple(cert.time, sigma)
         note, tag = _sigma_note(frac, sigma)
         entries.append(
             {
@@ -400,13 +405,11 @@ def _cmd_mst(args, g, report, lines) -> bool:
 
 def _cmd_autos(args, g, report, lines) -> bool:
     autos = find_switching_automorphisms(g)
-    report["automorphisms"] = [
-        {"perm": list(p.perm), "signs": list(p.signs), "order": p.order}
-        for p in autos
-    ]
+    entries = [{"perm": list(p.perm), "signs": list(p.signs), "order": p.order} for p in autos]
+    report["automorphisms"] = entries
     lines.append(f"found {len(autos)} switching automorphisms")
-    for p in autos:
-        lines.append(f"  perm={list(p.perm)} signs={list(p.signs)} order={p.order}")
+    for e in entries:
+        lines.append(f"  perm={e['perm']} signs={e['signs']} order={e['order']}")
     return bool(autos)
 
 

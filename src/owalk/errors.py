@@ -25,7 +25,6 @@ __all__ = [
     "VerificationFailedError",
     "SearchBudgetExceededError",
     "NotStronglyCospectralError",
-    "NotCospectralError",
     "NotPeriodicError",
     "NoValidMError",
 ]
@@ -60,7 +59,7 @@ class UnknownExampleError(InputError):
 
 
 class GraphParseError(InputError):
-    """Graph file text does not follow the expected grammar."""
+    """A graph file cannot be read as text or does not follow the expected grammar."""
 
 
 class DisconnectedGraphError(InputError):
@@ -93,10 +92,6 @@ class SearchBudgetExceededError(OwalkError):
 
 class NotStronglyCospectralError(OwalkError):
     """The vertex pair is not strongly cospectral."""
-
-
-class NotCospectralError(OwalkError):
-    """A vertex and its image are not strongly cospectral."""
 
 
 class NotPeriodicError(OwalkError):

@@ -16,7 +16,6 @@ edge list sorted lexicographically by (tail, head).
 
 from __future__ import annotations
 
-from collections import deque
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -118,21 +117,33 @@ def is_connected(g: OrientedGraph) -> bool:
 
     Vacuously true for graphs with at most one vertex.
     """
-    if g.n <= 1:
-        return True
-    neighbors: list[list[int]] = [[] for _ in range(g.n)]
-    for u, v in g.edges:
-        neighbors[u].append(v)
-        neighbors[v].append(u)
-    seen = {0}
-    queue = deque([0])
-    while queue:
-        u = queue.popleft()
-        for w in neighbors[u]:
-            if w not in seen:
-                seen.add(w)
-                queue.append(w)
-    return len(seen) == g.n
+    return len(_components(g)) <= 1
+
+
+def _components(g: OrientedGraph) -> list[list[int]]:
+    """Connected components, each in breadth-first order from its least vertex.
+
+    Neighbors are visited in increasing order.  Flattened, this is the base
+    of the automorphism search: every vertex but a component's first has a
+    neighbor earlier in the order.
+    """
+    rows, cols = np.nonzero(g.adjacency)  # row-major: each row's neighbors ascending
+    bounds = np.searchsorted(rows, np.arange(g.n + 1)).tolist()
+    cols = cols.tolist()
+    seen = [False] * g.n
+    components = []
+    for root in range(g.n):
+        if seen[root]:
+            continue
+        seen[root] = True
+        order = [root]
+        for u in order:
+            for w in cols[bounds[u] : bounds[u + 1]]:
+                if not seen[w]:
+                    seen[w] = True
+                    order.append(w)
+        components.append(order)
+    return components
 
 
 def parse_graph(text: str) -> OrientedGraph:

@@ -23,21 +23,15 @@ from functools import cached_property
 import numpy as np
 
 from . import arithmetic
-from .errors import (
-    AmbiguousGroupingError,
-    EigensolverFailureError,
-    NonRealResultError,
-)
+from .errors import AmbiguousGroupingError, EigensolverFailureError
 from .graph import OrientedGraph
 
 __all__ = [
     "SpectralDecomposition",
     "decompose",
-    "transition_matrix",
 ]
 
 DEFAULT_GROUPING_TOL = 1e-8
-REALNESS_TOL = 1e-8
 
 
 def cluster_values(values: np.ndarray, tol: float) -> list[list[int]]:
@@ -122,22 +116,6 @@ def decompose(g: OrientedGraph) -> SpectralDecomposition:
         vectors=vec,
         starts=np.array([cluster[0] for cluster in clusters], dtype=np.intp),
     )
-
-
-def transition_matrix(sd: SpectralDecomposition, t: float) -> np.ndarray:
-    """Propagator U(t) as a real orthogonal matrix.
-
-    The imaginary parts of the eigenfunction sum must vanish; anything
-    above REALNESS_TOL raises NonRealResultError.
-    """
-    phases = np.repeat(np.exp(-1j * t * sd.eigenvalues), sd.multiplicities)
-    u = (sd.vectors * phases) @ sd.vectors.conj().T
-    worst = float(abs(u.imag).max()) if sd.n else 0.0
-    if worst > REALNESS_TOL:
-        raise NonRealResultError(
-            f"propagator carries imaginary parts up to {worst:.3e}"
-        )
-    return u.real
 
 
 def propagator_column(sd: SpectralDecomposition, a: int, t: float) -> np.ndarray:

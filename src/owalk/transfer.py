@@ -36,13 +36,12 @@ from .errors import (
     InputError,
     NonRealResultError,
     NoValidMError,
-    NotCospectralError,
     NotPeriodicError,
     NotStronglyCospectralError,
     VerificationFailedError,
 )
 from .periodicity import PeriodicityCertificate, is_periodic
-from .spectral import REALNESS_TOL, SpectralDecomposition, propagator_column
+from .spectral import SpectralDecomposition, propagator_column
 
 __all__ = [
     "TransferCertificate",
@@ -58,6 +57,7 @@ DEFAULT_SCAN_TMAX = 20.0
 MAX_SCAN_CANDIDATES = 200_000
 DEFAULT_PST_TOL = 1e-7
 DEFAULT_PARITY_TOL = 1e-6
+REALNESS_TOL = 1e-8
 
 
 @dataclass(frozen=True)
@@ -251,9 +251,9 @@ def complete_char(
 ) -> MSTCertificate:
     """Certify MST on the orbit of ``a`` under ``p`` via the parity criterion.
 
-    Requires strong cospectrality of a with p(a) (NotCospectralError) and
-    periodicity of a (NotPeriodicError).  Searches for m coprime to the
-    orbit length k such that the numbers
+    Requires strong cospectrality of a with p(a)
+    (NotStronglyCospectralError) and periodicity of a (NotPeriodicError).
+    Searches for m coprime to the orbit length k such that the numbers
 
         m * q_r(a, p(a)) - c * sign(y_r) * b_r / (g * k)
 
@@ -269,7 +269,7 @@ def complete_char(
         raise ValueError(f"orbit of vertex {a} has length {k} < 2")
     cospec = strong_cospectrality(sd, a, p.apply(a), tol=tol)
     if cospec is None:
-        raise NotCospectralError(
+        raise NotStronglyCospectralError(
             f"vertices {a} and {p.apply(a)} are not strongly cospectral"
         )
     support = eigenvalue_support(sd, a)
@@ -346,27 +346,20 @@ def mst_search(
 ) -> list[MSTCertificate]:
     """Search automorphism orbits of length >= 3 for multiple state transfer.
 
-    Tries every switching automorphism of the graph and every start
-    vertex (or just ``vertex``); condition failures are skipped, numeric
-    verification failures propagate.  Each orbit set is certified once:
-    its base time sigma/k is fixed by the set, so a set already held is
-    not tried again.
+    Tries every cycle of every switching automorphism of the graph, from
+    its least vertex (or just the cycle from ``vertex``); condition
+    failures are skipped, numeric verification failures propagate.  Each
+    orbit set is certified once: its base time sigma/k is fixed by the
+    set, so a set already held is not tried again.
     """
-    autos = find_switching_automorphisms(sd.graph)
     best: dict[frozenset[int], MSTCertificate] = {}
-    for p in autos:
-        tried: set[frozenset[int]] = set()
-        starts = [vertex] if vertex is not None else list(range(sd.n))
-        for a in starts:
-            orb = orbit(p, a)
-            if len(orb) < 3:
+    for p in find_switching_automorphisms(sd.graph):
+        for cycle in p.cycles() if vertex is None else (orbit(p, vertex),):
+            key = frozenset(cycle)
+            if len(cycle) < 3 or key in best:
                 continue
-            key = frozenset(orb)
-            if key in tried or key in best:
-                continue
-            tried.add(key)
             try:
-                best[key] = complete_char(sd, a, p, tol=tol)
-            except (NotCospectralError, NotPeriodicError, NoValidMError):
+                best[key] = complete_char(sd, cycle[0], p, tol=tol)
+            except (NotStronglyCospectralError, NotPeriodicError, NoValidMError):
                 continue
     return sorted(best.values(), key=lambda c: (c.base_time, c.orbit))

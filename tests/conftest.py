@@ -10,7 +10,7 @@ from owalk import (
     is_connected,
     is_switching_automorphism,
 )
-from owalk.autos import _assignment_order
+from owalk.graph import _components
 from owalk.errors import (
     InconsistentExactCheckError,
     SearchBudgetExceededError,
@@ -197,6 +197,18 @@ def grid_scan(sd, a, b, t_max, points=8192):
     return events
 
 
+def transition_matrix(sd, t):
+    """U(t) = sum_r exp(-i*t*y_r) E_r, summed over the projectors sd.idempotents.
+
+    A test oracle for the propagator: owalk itself builds only columns of
+    U(t), from the eigenvector blocks.  U(t) is real, so the imaginary
+    parts of the sum must vanish; the real part is returned.
+    """
+    u = np.einsum("r,rij->ij", np.exp(-1j * t * sd.eigenvalues), np.array(sd.idempotents))
+    assert np.abs(u.imag).max() < 1e-8, np.abs(u.imag).max()
+    return u.real
+
+
 def monomial_matrix(p):
     """Monomial matrix of a switching automorphism: signs[perm[u]] at (perm[u], u)."""
     n = len(p.perm)
@@ -229,7 +241,7 @@ def exhaustive_autos(g, node_budget=10**8):
         return [SwitchingAutomorphism((), ())]
     a = g.adjacency
     degrees = [g.degree(u) for u in range(n)]
-    order = _assignment_order(g)
+    order = [v for part in _components(g) for v in part]
     img = [-1] * n
     t = [0] * n  # sign factor seen from the source: t[u] = signs[img[u]]
     used = [False] * n

@@ -30,11 +30,10 @@ from owalk import (
     quadratic_integer_profile,
     scan_pst,
     strong_cospectrality,
-    transition_matrix,
     verify_pst,
 )
 
-from conftest import random_connected_graph, random_oriented_graph
+from conftest import random_connected_graph, random_oriented_graph, transition_matrix
 
 SEED = 20260817
 

@@ -7,13 +7,12 @@ from owalk import (
     SwitchingAutomorphism,
     build_graph,
     builtin_example,
-    compose,
     decompose,
     find_switching_automorphisms,
     is_switching_automorphism,
     orbit,
-    transition_matrix,
 )
+from owalk.autos import _compose
 from owalk.errors import SearchBudgetExceededError
 
 from conftest import (
@@ -22,6 +21,7 @@ from conftest import (
     monomial_matrix,
     paley_tournament,
     random_oriented_graph,
+    transition_matrix,
 )
 
 
@@ -103,27 +103,40 @@ def test_mst8_has_order_four_orbit(mst8):
 
 def test_compose_and_order():
     rot = SwitchingAutomorphism((1, 2, 0), (1, 1, 1))
-    rot2 = compose(rot, rot)
+    rot2 = _compose(rot, rot)
     assert rot2.perm == (2, 0, 1)
     assert rot.order == 3
     neg = SwitchingAutomorphism((0, 1, 2), (-1, -1, -1))
     assert neg.order == 2
-    mixed = compose(neg, rot)
+    mixed = _compose(neg, rot)
     assert mixed.perm == (1, 2, 0)
     assert mixed.signs == (-1, -1, -1)
     assert mixed.order == 6
 
 
-@pytest.mark.parametrize("name", ["k3", "mst8", "k3xk3"])
+@pytest.mark.parametrize("name", ["k3", "mst8", "k3xk3", "k3xk3xk3"])
 def test_order_is_smallest_identity_power(name):
-    g = k3_power(2) if name == "k3xk3" else builtin_example(name)
-    n = g.n
-    identity = SwitchingAutomorphism(tuple(range(n)), (1,) * n)
+    # order against powers of the monomial matrix, and _compose against the
+    # matrix product along the way
+    g = k3_power(name.count("k3")) if "x" in name else builtin_example(name)
+    identity = np.eye(g.n, dtype=np.int64)
     for p in find_switching_automorphisms(g):
-        power, k = p, 1
-        while power != identity:
-            power, k = compose(p, power), k + 1
+        m = monomial_matrix(p)
+        power, matrix, k = p, m, 1
+        while not (matrix == identity).all():
+            power, matrix, k = _compose(p, power), m @ matrix, k + 1
+            assert (monomial_matrix(power) == matrix).all(), (p, k)
         assert p.order == k, (p, k)
+
+
+@pytest.mark.parametrize("name", ["k3", "mst8", "k3xk3xk3"])
+def test_cycles_partition_from_least_vertex(name):
+    g = k3_power(3) if "x" in name else builtin_example(name)
+    for p in find_switching_automorphisms(g):
+        cycles = p.cycles()
+        assert sorted(v for c in cycles for v in c) == list(range(g.n))
+        assert [c[0] for c in cycles] == sorted(min(c) for c in cycles)
+        assert all(c == orbit(p, c[0]) for c in cycles)
 
 
 def test_compose_matches_matrix_product(rng):
@@ -135,7 +148,7 @@ def test_compose_matches_matrix_product(rng):
         signs2 = tuple(int(s) for s in rng.choice([-1, 1], size=n))
         p1 = SwitchingAutomorphism(perm1, signs1)
         p2 = SwitchingAutomorphism(perm2, signs2)
-        combined = compose(p1, p2)
+        combined = _compose(p1, p2)
         assert (
             monomial_matrix(combined) == monomial_matrix(p1) @ monomial_matrix(p2)
         ).all()

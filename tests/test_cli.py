@@ -187,8 +187,15 @@ def test_file_input_matches_builtin(tmp_path):
     assert from_file["spectrum"] == builtin["spectrum"]
 
 
-def test_usage_errors_exit_2():
+def test_usage_errors_exit_2(tmp_path):
     assert run_cli("spectrum", "nosuchgraph").returncode == 2
+    # a graph path that cannot be read as UTF-8 text is a bad graph file
+    binary = tmp_path / "binary.og"
+    binary.write_bytes(b"n 2\n\xff\n")
+    for path in (tmp_path, binary):
+        proc = run_cli("spectrum", str(path))
+        assert proc.returncode == 2, (path, proc.returncode, proc.stderr)
+        assert proc.stderr.startswith("error: GraphParseError: cannot read"), proc.stderr
     assert run_cli("pst", "k3", "0", "9", "--scan").returncode == 2
     # option values under which a verdict would be meaningless: each one
     # must be refused, never answered with a silent negative or a traceback
@@ -281,18 +288,40 @@ def test_char_poly_computed_lazily_and_once(tmp_path, monkeypatch):
     assert calls == [27]
 
 
-def test_sigma_hint_answers_as_limit_denominator():
-    # a hinted denominator may only save work: with or without a hint, the
-    # sigma multiple of a time is the one limit_denominator finds
+def limit_denominator_oracle(t, sigma):
+    """Sigma multiple of t by the closest fraction with q <= 10^6, then the gate."""
+    ratio = Fraction(t) / Fraction(sigma)
+    frac = ratio.limit_denominator(10**6)
+    if frac <= 0:
+        return None
+    if abs(ratio - frac) * frac.denominator**2 * 10**8 <= 1:
+        return frac
+    return None
+
+
+def test_sigma_multiple_matches_limit_denominator_oracle():
+    # the continued-fraction walk answers as limit_denominator plus the gate:
+    # exact multiples, perturbations on both sides of the 1e-8/q^2 gate,
+    # noise, times below sigma, negative times, and ratios whose exact
+    # denominator sits at or just past the 10^6 limit
     rng = np.random.default_rng(31)
-    hints = [Fraction(1, 3), Fraction(2, 7), Fraction(5, 6)]
-    hints += [Fraction(1, 999983), Fraction(7, 10**6)]
-    for sigma in (2 * math.pi / math.sqrt(3), math.pi / math.sqrt(7), 2 * math.pi):
-        for _ in range(200):
+    cases = []
+    for sigma in (2 * math.pi / math.sqrt(3), math.pi / math.sqrt(7), 2 * math.pi, math.pi / 2):
+        for _ in range(3000):
             p, q = int(rng.integers(-3, 20000)), int(rng.integers(1, 50))
             exact = p / q * sigma
-            noise = float(rng.random() * 1e4)
-            for t in (exact, exact * (1 + 1e-12), exact * (1 + 1e-7), noise):
-                expected = _sigma_multiple(t, sigma)
-                for hint in hints + [Fraction(p or 1, q)]:
-                    assert _sigma_multiple(t, sigma, hint) == expected, (t, sigma, hint)
+            cases += [(exact * (1 + e), sigma) for e in (0.0, 1e-12, 1e-10, 1e-9, 1e-7)]
+            cases += [(-exact, sigma), (float(rng.random() * sigma), sigma)]
+            cases.append((float(rng.random() * 1e4), sigma))
+    for q in (999_983, 10**6, 10**6 + 1):
+        for _ in range(2000):
+            p, scale = int(rng.integers(1, 10**7)), 2.0 ** int(rng.integers(-4, 5))
+            cases += [(p * scale, q * scale), (p * scale * (1 + 1e-12), q * scale)]
+    assert len(cases) >= 100_000
+    answers = {}
+    for t, sigma in cases:
+        expected = limit_denominator_oracle(t, sigma)
+        assert _sigma_multiple(t, sigma) == expected, (t, sigma)
+        answers[expected is None or expected.denominator] = True
+    # the cases reach past the gate and onto the denominator limit
+    assert {True, 1, 3, 49, 999_983, 10**6} <= set(answers)

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 import scipy.linalg
 
-import owalk.spectral
+import owalk.transfer
 from owalk import (
     build_graph,
     builtin_example,
@@ -18,7 +18,6 @@ from owalk import (
     mst_search,
     scan_pst,
     strong_cospectrality,
-    transition_matrix,
     verify_pst,
 )
 from owalk.cli import main
@@ -26,7 +25,7 @@ from owalk.cospectral import default_support_threshold
 from owalk.errors import AmbiguousGroupingError, NonRealResultError
 from owalk.spectral import cluster_values, propagator_column
 
-from conftest import k3_power, random_oriented_graph
+from conftest import k3_power, random_oriented_graph, transition_matrix
 
 
 def test_k3_eigenvalues_frozen(k3_sd):
@@ -189,7 +188,6 @@ def test_derived_reads_match_projectors():
                 assert abs(cert.residual - residual) < 1e-12
         for t in (0.0, 0.7, 2.3):
             u = np.einsum("r,rij->ij", np.exp(-1j * t * sd.eigenvalues), proj)
-            assert np.abs(transition_matrix(sd, t) - u.real).max() < 1e-12
             for a in range(g.n):
                 assert np.abs(propagator_column(sd, a, t) - u[:, a]).max() < 1e-12
     assert cospectral_pairs > sum(g.n for g in graphs)  # more than the pairs (a, a)
@@ -203,7 +201,6 @@ def test_analysis_leaves_projectors_unbuilt(mst8):
     assert scan_pst(sd, 0, 1, t_max=4.0)
     assert verify_pst(sd, 0, 6, math.pi / 4) is not None
     assert mst_search(sd)
-    transition_matrix(sd, 1.0)
     propagator_column(sd, 0, 1.0)
     assert "idempotents" not in sd.__dict__
 
@@ -242,9 +239,9 @@ def test_cluster_values_ambiguous_gap():
 
 
 def test_non_real_result_guard(k3_sd, monkeypatch):
-    monkeypatch.setattr(owalk.spectral, "REALNESS_TOL", 1e-30)
+    monkeypatch.setattr(owalk.transfer, "REALNESS_TOL", 1e-30)
     with pytest.raises(NonRealResultError):
-        transition_matrix(k3_sd, 0.5)
+        verify_pst(k3_sd, 0, 1, 0.5)
 
 
 def test_zero_cluster_snap(rng):

@@ -20,7 +20,6 @@ from owalk.errors import (
     DisconnectedGraphError,
     InputError,
     NoValidMError,
-    NotCospectralError,
     NotStronglyCospectralError,
 )
 
@@ -210,7 +209,7 @@ def test_complete_char_rejects_non_cospectral_orbit(irrational5_sd):
 
     p = SwitchingAutomorphism(perm, (1, 1, 1, 1, 1))
     assert is_switching_automorphism(irrational5_sd.graph, p)
-    with pytest.raises(NotCospectralError):
+    with pytest.raises(NotStronglyCospectralError):
         complete_char(irrational5_sd, 0, p)
 
 
@@ -232,7 +231,7 @@ def test_complete_char_no_valid_m():
         pytest.skip("relabeling is not an automorphism of this orientation")
     try:
         cert = complete_char(sd, 0, swap)
-    except (NotCospectralError, NoValidMError):
+    except (NotStronglyCospectralError, NoValidMError):
         return
     assert verify_pst(sd, 0, 2, cert.base_time) is not None
 
