@@ -13,11 +13,11 @@ output.
 from __future__ import annotations
 
 import argparse
-import json
 import math
 import os
 import sys
 from fractions import Fraction
+from json.encoder import encode_basestring_ascii as _json_str
 
 import numpy as np
 
@@ -53,16 +53,22 @@ def _format_float(x: float) -> str:
     return "%.17g" % x
 
 
+_SCALAR_FORMAT = {
+    float: _format_float,
+    int: str,
+    str: _json_str,  # what json.dumps returns for a str
+    bool: lambda v: "true" if v else "false",
+    type(None): lambda v: "null",
+}
+
+
 def _emit_json(obj, indent: int = 0) -> str:
     pad = "  " * indent
-    if obj is None:
-        return "null"
-    if obj is True:
-        return "true"
-    if obj is False:
-        return "false"
+    fmt = _SCALAR_FORMAT.get(type(obj))
+    if fmt:
+        return fmt(obj)
     if isinstance(obj, str):
-        return json.dumps(obj)
+        return _json_str(obj)
     if isinstance(obj, float):
         return _format_float(obj)
     if isinstance(obj, int):
@@ -70,6 +76,10 @@ def _emit_json(obj, indent: int = 0) -> str:
     if isinstance(obj, (list, tuple)):
         if not obj:
             return "[]"
+        try:  # a list of plain scalars in one pass
+            return "[" + ", ".join([_SCALAR_FORMAT[type(v)](v) for v in obj]) + "]"
+        except KeyError:
+            pass
         if all(not isinstance(v, (list, tuple, dict)) for v in obj):
             return "[" + ", ".join(_emit_json(v) for v in obj) + "]"
         body = ",\n".join(
@@ -84,7 +94,7 @@ def _emit_json(obj, indent: int = 0) -> str:
             if not isinstance(key, str):
                 raise TypeError(f"cannot serialize non-string key {key!r} into the report")
             items.append(
-                "  " * (indent + 1) + json.dumps(key) + ": " + _emit_json(value, indent + 1)
+                "  " * (indent + 1) + _json_str(key) + ": " + _emit_json(value, indent + 1)
             )
         return "{\n" + ",\n".join(items) + "\n" + pad + "}"
     raise TypeError(f"cannot serialize {type(obj).__name__} into the report")
@@ -456,6 +466,66 @@ def _cmd_example(args, report, lines) -> bool:
 # --- argument parsing and dispatch ----------------------------------------
 
 
+_GRAPH = ("graph", {"help": "graph file path or builtin example name"})
+_VERTEX, _A, _B = ("vertex", {"type": int}), ("a", {"type": int}), ("b", {"type": int})
+_COMMON = [
+    ("--json", {"action": "store_true", "default": False, "help": "emit a JSON report"}),
+    ("--strict", {"action": "store_true", "default": False,
+                  "help": "exit 1 when the analysis comes back negative"}),
+    ("--tol", {"type": float, "default": None, "metavar": "X",
+               "help": f"verification tolerance (default {DEFAULT_PST_TOL})"}),
+]
+
+# Every subcommand once: its help, positionals, options (after the common
+# ones) as add_argument keywords, at most one group of exclusive options,
+# and the handler that runs it.
+_COMMANDS = {
+    "spectrum": {"help": "eigenvalues and idempotent ranks", "args": [_GRAPH],
+                 "run": _cmd_spectrum},
+    "support": {"help": "eigenvalue support of a vertex", "args": [_GRAPH, _VERTEX],
+                "run": _cmd_support},
+    "cospectral": {"help": "strong cospectrality certificate for a vertex pair",
+                   "args": [_GRAPH, _A, _B], "run": _cmd_cospectral},
+    "periodic": {"help": "periodicity certificate of a vertex", "args": [_GRAPH, _VERTEX],
+                 "run": _cmd_periodic},
+    "pst": {
+        "help": "perfect state transfer between two vertices",
+        "args": [_GRAPH, _A, _B],
+        "options": [
+            ("--time", {"type": float, "default": None, "help": "verify one time"}),
+            ("--scan", {"action": "store_true", "default": False,
+                        "help": "scan (0, t_max] for transfers (default)"}),
+            ("--t-max", {"type": float, "default": 20.0, "help": "scan horizon"}),
+        ],
+        "exclusive": ("--time", "--scan"),
+        "run": _cmd_pst,
+    },
+    "mst": {
+        "help": "multiple state transfer search over automorphism orbits",
+        "args": [_GRAPH],
+        "options": [("--vertex", {"type": int, "default": None,
+                                  "help": "restrict start vertex"})],
+        "run": _cmd_mst,
+    },
+    "autos": {"help": "enumerate switching automorphisms", "args": [_GRAPH],
+              "run": _cmd_autos},
+    "evolve": {
+        "help": "emit vertex probabilities over time",
+        "args": [_GRAPH],
+        "options": [
+            ("--source", {"type": int, "required": True}),
+            ("--t-max", {"type": float, "required": True}),
+            ("--steps", {"type": int, "required": True}),
+        ],
+        "run": _cmd_evolve,
+    },
+    "example": {
+        "help": "print a builtin example graph file",
+        "args": [("name", {"help": f"one of: {', '.join(BUILTIN_NAMES)}"})],
+    },
+}
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="owalk",
@@ -463,87 +533,64 @@ def _build_parser() -> argparse.ArgumentParser:
         "periodicity, strong cospectrality, perfect and multiple state transfer",
     )
     parser.add_argument("--version", action="version", version=f"owalk {__version__}")
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--json", action="store_true", help="emit a JSON report")
-    common.add_argument(
-        "--strict",
-        action="store_true",
-        help="exit 1 when the analysis comes back negative",
-    )
-    common.add_argument(
-        "--tol",
-        type=float,
-        default=None,
-        metavar="X",
-        help=f"verification tolerance (default {DEFAULT_PST_TOL})",
-    )
-    graphed = argparse.ArgumentParser(add_help=False)
-    graphed.add_argument("graph", help="graph file path or builtin example name")
-
     sub = parser.add_subparsers(dest="command", required=True, metavar="SUBCOMMAND")
-    sub.add_parser(
-        "spectrum", parents=[common, graphed], help="eigenvalues and idempotent ranks"
-    )
-    p_support = sub.add_parser(
-        "support", parents=[common, graphed], help="eigenvalue support of a vertex"
-    )
-    p_support.add_argument("vertex", type=int)
-    p_cos = sub.add_parser(
-        "cospectral",
-        parents=[common, graphed],
-        help="strong cospectrality certificate for a vertex pair",
-    )
-    p_cos.add_argument("a", type=int)
-    p_cos.add_argument("b", type=int)
-    p_per = sub.add_parser(
-        "periodic", parents=[common, graphed], help="periodicity certificate of a vertex"
-    )
-    p_per.add_argument("vertex", type=int)
-    p_pst = sub.add_parser(
-        "pst",
-        parents=[common, graphed],
-        help="perfect state transfer between two vertices",
-    )
-    p_pst.add_argument("a", type=int)
-    p_pst.add_argument("b", type=int)
-    mode = p_pst.add_mutually_exclusive_group()
-    mode.add_argument("--time", type=float, default=None, help="verify one time")
-    mode.add_argument(
-        "--scan", action="store_true", help="scan (0, t_max] for transfers (default)"
-    )
-    p_pst.add_argument("--t-max", type=float, default=20.0, help="scan horizon")
-    p_mst = sub.add_parser(
-        "mst",
-        parents=[common, graphed],
-        help="multiple state transfer search over automorphism orbits",
-    )
-    p_mst.add_argument("--vertex", type=int, default=None, help="restrict start vertex")
-    sub.add_parser(
-        "autos", parents=[common, graphed], help="enumerate switching automorphisms"
-    )
-    p_evo = sub.add_parser(
-        "evolve", parents=[common, graphed], help="emit vertex probabilities over time"
-    )
-    p_evo.add_argument("--source", type=int, required=True)
-    p_evo.add_argument("--t-max", type=float, required=True)
-    p_evo.add_argument("--steps", type=int, required=True)
-    p_ex = sub.add_parser(
-        "example", parents=[common], help="print a builtin example graph file"
-    )
-    p_ex.add_argument("name", help=f"one of: {', '.join(BUILTIN_NAMES)}")
+    for command, spec in _COMMANDS.items():
+        p = sub.add_parser(command, help=spec["help"])
+        for flag, kwargs in _COMMON:
+            p.add_argument(flag, **kwargs)
+        for name, kwargs in spec["args"]:
+            p.add_argument(name, **kwargs)
+        exclusive = spec.get("exclusive", ())
+        group = p.add_mutually_exclusive_group() if exclusive else None
+        for flag, kwargs in spec.get("options", []):
+            (group if flag in exclusive else p).add_argument(flag, **kwargs)
     return parser
 
 
-_HANDLERS = {
-    "spectrum": _cmd_spectrum,
-    "support": _cmd_support,
-    "cospectral": _cmd_cospectral,
-    "periodic": _cmd_periodic,
-    "pst": _cmd_pst,
-    "mst": _cmd_mst,
-    "autos": _cmd_autos,
-    "evolve": _cmd_evolve,
-}
+def _parse_plain(argv: list[str]) -> argparse.Namespace | None:
+    """The Namespace argparse gives for argv, or None outside the plain grammar.
+
+    Plain: the subcommand, then its positionals and full option names in any
+    order, each option value the next token.  Help, --version, abbreviations,
+    --flag=value, negative numbers, bad values and missing or extra arguments
+    give None, and argparse answers them.
+    """
+    spec = _COMMANDS.get(argv[0]) if argv else None
+    if spec is None:
+        return None
+    options = dict(_COMMON + spec.get("options", []))
+    values = {"command": argv[0]}
+    for flag, kwargs in options.items():
+        values[flag[2:].replace("-", "_")] = kwargs.get("default")
+    seen, filled = set(), 0
+    tokens = iter(argv[1:])
+    for token in tokens:
+        if not token.startswith("-"):
+            if filled == len(spec["args"]):
+                return None
+            name, kwargs = spec["args"][filled]
+            filled += 1
+        elif token in options:
+            kwargs = options[token]
+            name = token[2:].replace("-", "_")
+            seen.add(token)
+            if "action" in kwargs:
+                values[name] = True
+                continue
+            token = next(tokens, "-")
+            if token.startswith("-"):
+                return None
+        else:
+            return None
+        try:
+            values[name] = kwargs.get("type", str)(token)
+        except ValueError:
+            return None
+    required = {flag for flag, kwargs in options.items() if kwargs.get("required")}
+    exclusive = seen.intersection(spec.get("exclusive", ()))
+    if filled < len(spec["args"]) or not required <= seen or len(exclusive) > 1:
+        return None
+    return argparse.Namespace(**values)
 
 
 def _check_options(args) -> None:
@@ -557,13 +604,15 @@ def _check_options(args) -> None:
             raise InputError(f"{name} must be finite, got {value!r}")
         if flag != "time" and value <= 0:
             raise InputError(f"{name} must be > 0, got {value!r}")
+        if flag == "tol" and value >= 1:
+            raise InputError(f"--tol must be < 1, got {value!r}")
     if getattr(args, "steps", 2) < 2:
         raise InputError(f"--steps must be >= 2, got {args.steps}")
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    argv = sys.argv[1:] if argv is None else argv
+    args = _parse_plain(argv) or _build_parser().parse_args(argv)
     args.eff_tol = args.tol if args.tol is not None else DEFAULT_PST_TOL
     report: dict = {
         "version": __version__,
@@ -587,7 +636,7 @@ def main(argv: list[str] | None = None) -> int:
             }
             if not args.json:
                 lines.append(f"graph {label}: n = {g.n}, edges = {len(g.edges)}")
-            found = _HANDLERS[args.command](args, g, report, lines)
+            found = _COMMANDS[args.command]["run"](args, g, report, lines)
     except InputError as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 2

@@ -1,3 +1,7 @@
+import argparse
+import json
+import math
+
 import numpy as np
 import pytest
 
@@ -10,7 +14,9 @@ from owalk import (
     is_connected,
     is_switching_automorphism,
 )
-from owalk.graph import _components
+from owalk import __version__
+from owalk.graph import BUILTIN_NAMES, _components
+from owalk.transfer import DEFAULT_PST_TOL
 from owalk.errors import (
     InconsistentExactCheckError,
     SearchBudgetExceededError,
@@ -312,3 +318,130 @@ def exhaustive_autos(g, node_budget=10**8):
     trivial = SwitchingAutomorphism(tuple(range(n)), (1,) * n)
     nontrivial = [p for p in autos if p != trivial]
     return nontrivial if nontrivial else autos
+
+
+def reference_parser():
+    """The CLI parser written out by hand, one add_argument per option.
+
+    A test oracle for owalk.cli's command table: the plain walk and the
+    parser generated from the table must both answer as this one does.
+    """
+    parser = argparse.ArgumentParser(
+        prog="owalk",
+        description="continuous quantum walks on oriented graphs: "
+        "periodicity, strong cospectrality, perfect and multiple state transfer",
+    )
+    parser.add_argument("--version", action="version", version=f"owalk {__version__}")
+    common = argparse.ArgumentParser(add_help=False)
+    common.add_argument("--json", action="store_true", help="emit a JSON report")
+    common.add_argument(
+        "--strict",
+        action="store_true",
+        help="exit 1 when the analysis comes back negative",
+    )
+    common.add_argument(
+        "--tol",
+        type=float,
+        default=None,
+        metavar="X",
+        help=f"verification tolerance (default {DEFAULT_PST_TOL})",
+    )
+    graphed = argparse.ArgumentParser(add_help=False)
+    graphed.add_argument("graph", help="graph file path or builtin example name")
+
+    sub = parser.add_subparsers(dest="command", required=True, metavar="SUBCOMMAND")
+    sub.add_parser(
+        "spectrum", parents=[common, graphed], help="eigenvalues and idempotent ranks"
+    )
+    p_support = sub.add_parser(
+        "support", parents=[common, graphed], help="eigenvalue support of a vertex"
+    )
+    p_support.add_argument("vertex", type=int)
+    p_cos = sub.add_parser(
+        "cospectral",
+        parents=[common, graphed],
+        help="strong cospectrality certificate for a vertex pair",
+    )
+    p_cos.add_argument("a", type=int)
+    p_cos.add_argument("b", type=int)
+    p_per = sub.add_parser(
+        "periodic", parents=[common, graphed], help="periodicity certificate of a vertex"
+    )
+    p_per.add_argument("vertex", type=int)
+    p_pst = sub.add_parser(
+        "pst",
+        parents=[common, graphed],
+        help="perfect state transfer between two vertices",
+    )
+    p_pst.add_argument("a", type=int)
+    p_pst.add_argument("b", type=int)
+    mode = p_pst.add_mutually_exclusive_group()
+    mode.add_argument("--time", type=float, default=None, help="verify one time")
+    mode.add_argument(
+        "--scan", action="store_true", help="scan (0, t_max] for transfers (default)"
+    )
+    p_pst.add_argument("--t-max", type=float, default=20.0, help="scan horizon")
+    p_mst = sub.add_parser(
+        "mst",
+        parents=[common, graphed],
+        help="multiple state transfer search over automorphism orbits",
+    )
+    p_mst.add_argument("--vertex", type=int, default=None, help="restrict start vertex")
+    sub.add_parser(
+        "autos", parents=[common, graphed], help="enumerate switching automorphisms"
+    )
+    p_evo = sub.add_parser(
+        "evolve", parents=[common, graphed], help="emit vertex probabilities over time"
+    )
+    p_evo.add_argument("--source", type=int, required=True)
+    p_evo.add_argument("--t-max", type=float, required=True)
+    p_evo.add_argument("--steps", type=int, required=True)
+    p_ex = sub.add_parser(
+        "example", parents=[common], help="print a builtin example graph file"
+    )
+    p_ex.add_argument("name", help=f"one of: {', '.join(BUILTIN_NAMES)}")
+    return parser
+
+
+def reference_emit_json(obj, indent=0):
+    """The report serializer with one recursive call per value; a test oracle.
+
+    owalk.cli._emit_json formats lists of scalars and scalar dict values
+    without recursing and must give this function's text and errors.
+    """
+    pad = "  " * indent
+    if obj is None:
+        return "null"
+    if obj is True:
+        return "true"
+    if obj is False:
+        return "false"
+    if isinstance(obj, str):
+        return json.dumps(obj)
+    if isinstance(obj, float):
+        if not math.isfinite(obj):
+            raise VerificationFailedError("report contains a non-finite number")
+        return "%.17g" % obj
+    if isinstance(obj, int):
+        return str(obj)
+    if isinstance(obj, (list, tuple)):
+        if not obj:
+            return "[]"
+        if all(not isinstance(v, (list, tuple, dict)) for v in obj):
+            return "[" + ", ".join(reference_emit_json(v) for v in obj) + "]"
+        body = ",\n".join(
+            "  " * (indent + 1) + reference_emit_json(v, indent + 1) for v in obj
+        )
+        return "[\n" + body + "\n" + pad + "]"
+    if isinstance(obj, dict):
+        if not obj:
+            return "{}"
+        items = []
+        for key, value in obj.items():
+            if not isinstance(key, str):
+                raise TypeError(f"cannot serialize non-string key {key!r} into the report")
+            items.append(
+                "  " * (indent + 1) + json.dumps(key) + ": " + reference_emit_json(value, indent + 1)
+            )
+        return "{\n" + ",\n".join(items) + "\n" + pad + "}"
+    raise TypeError(f"cannot serialize {type(obj).__name__} into the report")

@@ -1,9 +1,10 @@
+import argparse
 import io
 import json
 import math
 import subprocess
 import sys
-from contextlib import redirect_stdout
+from contextlib import redirect_stderr, redirect_stdout
 from fractions import Fraction
 
 import numpy as np
@@ -11,9 +12,17 @@ import pytest
 
 import owalk.arithmetic
 from owalk import serialize_graph
-from owalk.cli import _sigma_multiple, main
+import owalk.cli
+from owalk.cli import _build_parser, _emit_json, _parse_plain, _sigma_multiple, main
 
-from conftest import k3_power, random_oriented_graph
+from conftest import (
+    k3_power,
+    paley_tournament,
+    random_oriented_graph,
+    reference_emit_json,
+    reference_parser,
+)
+from test_golden import COMMANDS as GOLDEN_COMMANDS
 
 
 def run_cli(*args, check=False):
@@ -209,6 +218,9 @@ def test_usage_errors_exit_2(tmp_path):
         ("pst", "k3", "0", "1", "--t-max", "-1"),
         ("pst", "k3", "0", "1", "--t-max", "inf"),
         ("pst", "k3", "0", "1", "--time", "nan"),
+        # |U(t)[b, a]| = 1 - r^2/2 for residual r, so a tolerance of 1 or
+        # more would accept a target that holds a quarter of the probability
+        ("pst", "k3", "0", "1", "--time", "1", "--tol", "1e300"),
     ]:
         proc = run_cli(*args)
         assert proc.returncode == 2, (args, proc.returncode, proc.stderr)
@@ -325,3 +337,214 @@ def test_sigma_multiple_matches_limit_denominator_oracle():
         answers[expected is None or expected.denominator] = True
     # the cases reach past the gate and onto the denominator limit
     assert {True, 1, 3, 49, 999_983, 10**6} <= set(answers)
+
+
+# --- argument parsing -------------------------------------------------------
+
+PARSE_CORPUS = [
+    # plain forms of every subcommand, options before, between and after
+    # the positionals
+    ["spectrum", "k3"],
+    ["spectrum", "--json", "k3", "--strict"],
+    ["support", "k3", "0", "--tol", "1e-9"],
+    ["support", "--tol", "1e-9", "k3", "--json", "0"],
+    ["cospectral", "irrational5", "3", "4", "--json"],
+    ["cospectral", "irrational5", "--strict", "3", "--json", "4"],
+    ["periodic", "k3", "0"],
+    ["periodic", "--json", "k3", "0", "--tol", "0.5", "--strict"],
+    ["pst", "k3", "0", "1"],
+    ["pst", "k3", "0", "1", "--scan", "--json"],
+    ["pst", "k3", "0", "1", "--scan", "--t-max", "30", "--json"],
+    ["pst", "--t-max", "3", "k3", "0", "--scan", "1"],
+    ["pst", "k3", "0", "1", "--time", "1.2091995761561454"],
+    ["pst", "k3", "--time", "1", "0", "1", "--t-max", "5"],
+    ["pst", "k3", "0", "1", "--scan", "--scan", "--t-max", "5", "--t-max", "6"],
+    ["pst", "k3", "0", "1", "--time", "1", "--time", "2"],
+    ["pst", "k3", "0", "1", "--tol", "nan"],
+    ["pst", "k3", "0", "1", "--tol", "1e300"],
+    ["mst", "mst8"],
+    ["mst", "mst8", "--vertex", "3", "--json"],
+    ["mst", "--vertex", "3", "mst8"],
+    ["autos", "k3", "--json"],
+    ["evolve", "k3", "--source", "0", "--t-max", "3", "--steps", "7"],
+    ["evolve", "--steps", "7", "k3", "--t-max", "3", "--source", "0", "--json"],
+    ["example", "k3"],
+    ["example", "--json", "mst8"],
+    ["spectrum", ""],
+    ["spectrum", "1 -2"],
+    ["support", "k3", " 7 "],
+    ["pst", "k3", "0", "1", "--t-max", "1_0"],
+    # forms the walk leaves to argparse: help, version, abbreviations,
+    # --flag=value, negative numbers, the -- separator
+    [],
+    ["-h"],
+    ["--help"],
+    ["--version"],
+    *([command, "-h"] for command in (
+        "spectrum", "support", "cospectral", "periodic", "pst", "mst", "autos", "evolve",
+        "example",
+    )),
+    ["pst", "k3", "0", "1", "--help"],
+    ["pst", "k3", "0", "1", "--t-max=5"],
+    ["pst", "k3", "0", "1", "--t-m", "5"],
+    ["pst", "k3", "0", "1", "--sc", "--js"],
+    ["support", "k3", "-1"],
+    ["pst", "k3", "0", "1", "--tol", "-1"],
+    ["pst", "k3", "0", "1", "--t-max", "-5"],
+    ["pst", "k3", "0", "1", "--time", "-0.5"],
+    ["spectrum", "--", "k3"],
+    ["spectrum", "-"],
+    # usage errors, exit 2
+    ["nosuchcommand", "k3"],
+    ["--json", "spectrum", "k3"],
+    ["spectrum"],
+    ["spectrum", "k3", "--version"],
+    ["support", "k3"],
+    ["support", "k3", "0", "1"],
+    ["support", "k3", "x"],
+    ["support", "k3", "1.5"],
+    ["pst", "k3", "0", "1", "--time", "1", "--scan"],
+    ["pst", "k3", "0", "1", "--scan", "--time", "1"],
+    ["pst", "k3", "0", "1", "--t-max"],
+    ["pst", "k3", "0", "1", "--t-max", "abc"],
+    ["pst", "k3", "0", "1", "--t-max", "--json"],
+    ["pst", "k3", "0", "1", "--tol", ""],
+    ["pst", "k3", "0", "1", "--t-max", "-1e9"],
+    ["mst", "k3", "--vertex"],
+    ["mst", "k3", "--vertex", "x"],
+    ["autos", "k3", "--scan"],
+    ["evolve", "k3", "--source", "0", "--t-max", "1"],
+    ["evolve", "k3", "--t-max", "1", "--steps", "3"],
+    ["example", "k3", "extra"],
+    ["example", "k3", "--vertex", "1"],
+]
+
+
+def _parse_with(parser, argv):
+    """What parse_args does with argv: the Namespace or the exit code, and the text."""
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        try:
+            outcome = _typed(parser.parse_args(argv))
+        except SystemExit as exc:
+            outcome = exc.code
+    return outcome, out.getvalue(), err.getvalue()
+
+
+def _typed(namespace):
+    # repr keeps 20 apart from 20.0, "1" from 1 and False from None
+    return {key: repr(value) for key, value in vars(namespace).items()}
+
+
+@pytest.mark.parametrize("argv", PARSE_CORPUS, ids=" ".join)
+def test_plain_walk_answers_as_argparse(argv, capsys):
+    expected, out, err = _parse_with(reference_parser(), argv)
+    # the parser generated from the table parses, prints help and fails alike
+    assert _parse_with(_build_parser(), argv) == (expected, out, err)
+    walked = _parse_plain(argv)
+    if walked is not None:
+        assert isinstance(expected, dict), (argv, expected)
+        assert _typed(walked) == expected
+        return
+    try:
+        code = main(argv)
+    except SystemExit as exc:
+        assert not isinstance(expected, dict), (argv, expected)
+        assert exc.code == expected
+    else:
+        assert isinstance(expected, dict), (argv, code)
+        assert code in (0, 1, 2)
+    capsys.readouterr()
+
+
+def test_plain_invocations_build_no_parser(tmp_path, monkeypatch, capsys):
+    # the forms the benchmark sends, and spectrum and evolve, never
+    # construct an ArgumentParser
+    path = tmp_path / "k3cube.og"
+    path.write_text(serialize_graph(k3_power(3)))
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("an ArgumentParser was built")
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", refuse)
+    for argv in [
+        ["pst", "k3", "0", "1", "--scan", "--json"],
+        ["pst", "mst8", "0", "1", "--scan", "--t-max", "4", "--json"],
+        ["mst", "mst8", "--json"],
+        ["autos", str(path), "--json"],
+        ["spectrum", "irrational5"],
+        ["evolve", "k3", "--source", "0", "--t-max", "3", "--steps", "7", "--json"],
+    ]:
+        assert main(argv) == 0, argv
+        assert capsys.readouterr().out, argv
+
+
+# --- report serializer ------------------------------------------------------
+
+
+def _reports(argvs, monkeypatch):
+    """The report objects main serializes for each argv, and the text it printed."""
+    captured = []
+    real = owalk.cli._emit_json
+
+    def recording(obj, indent=0):
+        captured.append(obj)  # the first call of each run gets the whole report
+        return real(obj, indent)
+
+    monkeypatch.setattr(owalk.cli, "_emit_json", recording)
+    for argv in argvs:
+        captured.clear()
+        out = io.StringIO()
+        with redirect_stdout(out):
+            main([*argv, "--json"])
+        yield argv, captured[0], out.getvalue()
+
+
+def test_emit_json_matches_reference_on_golden_reports(monkeypatch):
+    for argv, report, printed in _reports(GOLDEN_COMMANDS, monkeypatch):
+        text = _emit_json(report)
+        assert text == reference_emit_json(report), argv
+        assert printed == text + "\n"
+
+
+def test_emit_json_matches_reference_on_large_reports(tmp_path, monkeypatch):
+    paths = {}
+    for name, g in [("k3cube", k3_power(3)), ("paley19", paley_tournament(19))]:
+        paths[name] = tmp_path / f"{name}.og"
+        paths[name].write_text(serialize_graph(g))
+    argvs = [
+        ["autos", str(paths["k3cube"])],
+        ["autos", str(paths["paley19"])],
+        ["pst", "k3", "0", "1", "--t-max", "20000"],
+    ]
+    sizes = []
+    for argv, report, printed in _reports(argvs, monkeypatch):
+        text = _emit_json(report)
+        assert text == reference_emit_json(report), argv
+        sizes.append(len(printed))
+    assert min(sizes) > 50_000 and max(sizes) > 1_000_000, sizes
+
+
+@pytest.mark.parametrize(
+    "obj",
+    [
+        [1, 2.5, "a", True, False, None, -0.0, 10**30, 'q"\\\u00e9'],
+        {"x": [np.float64(0.5), 1], "y": (np.float64(2.0),), "z": np.float64(1e-300)},
+        {"flags": [np.bool_(True)]},
+        [[1, 2], {"a": []}, {}, (), [[]]],
+        {"n": np.int64(3)},
+        [1, np.int64(3)],
+        {1: "non-string key"},
+        [{1, 2}],
+        [1.0, float("nan")],
+        {"t": float("inf")},
+    ],
+)
+def test_emit_json_answers_and_fails_as_reference(obj):
+    def outcome(emit):
+        try:
+            return emit(obj)
+        except Exception as exc:  # the type and message must match too
+            return type(exc), str(exc)
+
+    assert outcome(_emit_json) == outcome(reference_emit_json)
