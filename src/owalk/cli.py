@@ -37,7 +37,7 @@ from .errors import (
 from .graph import BUILTIN_NAMES, OrientedGraph, builtin_example, parse_graph, serialize_graph
 from .periodicity import is_periodic, verify_period
 from .spectral import DEFAULT_GROUPING_TOL, decompose, propagator_column
-from .transfer import DEFAULT_PST_TOL, mst_search, scan_pst, verify_pst
+from .transfer import DEFAULT_PST_TOL, DEFAULT_SCAN_TMAX, mst_search, scan_pst, verify_pst
 
 __all__ = ["main"]
 
@@ -67,12 +67,6 @@ def _emit_json(obj, indent: int = 0) -> str:
     fmt = _SCALAR_FORMAT.get(type(obj))
     if fmt:
         return fmt(obj)
-    if isinstance(obj, str):
-        return _json_str(obj)
-    if isinstance(obj, float):
-        return _format_float(obj)
-    if isinstance(obj, int):
-        return str(obj)
     if isinstance(obj, (list, tuple)):
         if not obj:
             return "[]"
@@ -80,8 +74,6 @@ def _emit_json(obj, indent: int = 0) -> str:
             return "[" + ", ".join([_SCALAR_FORMAT[type(v)](v) for v in obj]) + "]"
         except KeyError:
             pass
-        if all(not isinstance(v, (list, tuple, dict)) for v in obj):
-            return "[" + ", ".join(_emit_json(v) for v in obj) + "]"
         body = ",\n".join(
             "  " * (indent + 1) + _emit_json(v, indent + 1) for v in obj
         )
@@ -313,7 +305,8 @@ def _cmd_pst(args, g, report, lines) -> bool:
         cert = verify_pst(sd, args.a, args.b, args.time, tol=args.eff_tol)
         certs = [] if cert is None else [cert]
     else:
-        certs = scan_pst(sd, args.a, args.b, t_max=args.t_max, tol=args.eff_tol)
+        t_max = DEFAULT_SCAN_TMAX if args.t_max is None else args.t_max
+        certs = scan_pst(sd, args.a, args.b, t_max=t_max, tol=args.eff_tol)
     sigma = _sigma_of(sd, args.a) if certs else None
     entries = []
     for cert in certs:
@@ -345,7 +338,7 @@ def _cmd_pst(args, g, report, lines) -> bool:
         else:
             lines.append(
                 f"no perfect state transfer {args.a} -> {args.b} "
-                f"for t in (0, {float(args.t_max)!r}]"
+                f"for t in (0, {float(t_max)!r}]"
             )
         return False
     return True
@@ -495,7 +488,7 @@ _COMMANDS = {
             ("--time", {"type": float, "default": None, "help": "verify one time"}),
             ("--scan", {"action": "store_true", "default": False,
                         "help": "scan (0, t_max] for transfers (default)"}),
-            ("--t-max", {"type": float, "default": 20.0, "help": "scan horizon"}),
+            ("--t-max", {"type": float, "default": None, "help": "scan horizon"}),
         ],
         "exclusive": ("--time", "--scan"),
         "run": _cmd_pst,
@@ -608,6 +601,8 @@ def _check_options(args) -> None:
             raise InputError(f"--tol must be < 1, got {value!r}")
     if getattr(args, "steps", 2) < 2:
         raise InputError(f"--steps must be >= 2, got {args.steps}")
+    if getattr(args, "time", None) is not None and args.t_max is not None:
+        raise InputError("--time verifies one time, so --t-max has nothing to bound")
 
 
 def main(argv: list[str] | None = None) -> int:

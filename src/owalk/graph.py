@@ -89,10 +89,6 @@ class OrientedGraph:
         """Read-only skew-symmetric adjacency matrix with entries in {-1, 0, 1}."""
         return self._adjacency
 
-    def degree(self, v: int) -> int:
-        """Degree of ``v`` in the underlying undirected graph."""
-        return int(np.count_nonzero(self._adjacency[v]))
-
     def __eq__(self, other) -> bool:
         return (
             isinstance(other, OrientedGraph)

@@ -15,11 +15,11 @@ polished and verified numerically.  The same path serves periodic and
 aperiodic sources.
 
 Multiple state transfer (MST) is PST between every ordered pair of a
-vertex set.  Such sets arise as orbits of switching automorphisms: when
-a is periodic with minimal period sigma and phase epsilon, and P is a
-switching automorphism whose orbit of a has length k, PST from a to
-P^m a at sigma/k for some m coprime to k forces PST inside the whole
-orbit, at times that are multiples of sigma/k.
+vertex set.  Such sets arise as orbits of switching automorphisms: if a
+is periodic with minimal period sigma and strongly cospectral with P a,
+for a switching automorphism P whose orbit of a has length k, PST from a
+to P^m a at sigma/k for an m coprime to k forces PST on the whole orbit.
+``complete_char`` takes both certificates; ``mst_search`` decides each once.
 """
 
 from __future__ import annotations
@@ -245,15 +245,17 @@ def scan_pst(
 
 def complete_char(
     sd: SpectralDecomposition,
-    a: int,
     p: SwitchingAutomorphism,
+    cospec: CospectralityCertificate | None,
+    period: PeriodicityCertificate | None,
     tol: float = DEFAULT_PST_TOL,
 ) -> MSTCertificate:
-    """Certify MST on the orbit of ``a`` under ``p`` via the parity criterion.
+    """Certify MST on the orbit of a = ``cospec.a`` under ``p`` via the parity criterion.
 
-    Requires strong cospectrality of a with p(a)
-    (NotStronglyCospectralError) and periodicity of a (NotPeriodicError).
-    Searches for m coprime to the orbit length k such that the numbers
+    Takes strong cospectrality of a with p(a) (NotStronglyCospectralError
+    if None) and periodicity of a (NotPeriodicError if None); certificates
+    that do not fit an orbit of length >= 2 raise ValueError.  Searches for
+    m coprime to the orbit length k such that the numbers
 
         m * q_r(a, p(a)) - c * sign(y_r) * b_r / (g * k)
 
@@ -263,19 +265,15 @@ def complete_char(
     orbit pair is then verified numerically, and any numeric failure
     after a parity pass raises VerificationFailedError.
     """
+    if cospec is None:
+        raise NotStronglyCospectralError("MST needs a strong cospectrality certificate")
+    if period is None:
+        raise NotPeriodicError("MST needs a periodicity certificate")
+    a = cospec.a
     orb = orbit(p, a)
     k = len(orb)
-    if k < 2:
-        raise ValueError(f"orbit of vertex {a} has length {k} < 2")
-    cospec = strong_cospectrality(sd, a, p.apply(a), tol=tol)
-    if cospec is None:
-        raise NotStronglyCospectralError(
-            f"vertices {a} and {p.apply(a)} are not strongly cospectral"
-        )
-    support = eigenvalue_support(sd, a)
-    period = is_periodic(sd, support)
-    if period is None:
-        raise NotPeriodicError(f"vertex {a} is not periodic")
+    if k < 2 or cospec.b != p.apply(a) or period.vertex != a:
+        raise ValueError(f"certificates ({a}, {cospec.b}), {period.vertex} do not fit orbit {orb}")
     c = 1 if period.phase == -1 else 2
     chosen_m: int | None = None
     for m in range(1, k):
@@ -346,20 +344,29 @@ def mst_search(
 ) -> list[MSTCertificate]:
     """Search automorphism orbits of length >= 3 for multiple state transfer.
 
-    Tries every cycle of every switching automorphism of the graph, from
-    its least vertex (or just the cycle from ``vertex``); condition
-    failures are skipped, numeric verification failures propagate.  Each
-    orbit set is certified once: its base time sigma/k is fixed by the
-    set, so a set already held is not tried again.
+    Tries every cycle of every switching automorphism from its least
+    vertex a (or the cycle from ``vertex``), deciding strong cospectrality
+    once per pair (a, p(a)) and periodicity once per a; condition failures
+    are skipped, numeric verification failures propagate.  A set already
+    certified is not tried again: its base time sigma/k is fixed by the set.
     """
+    cospecs: dict[tuple[int, int], CospectralityCertificate | None] = {}
+    periods: dict[int, PeriodicityCertificate | None] = {}
     best: dict[frozenset[int], MSTCertificate] = {}
     for p in find_switching_automorphisms(sd.graph):
         for cycle in p.cycles() if vertex is None else (orbit(p, vertex),):
             key = frozenset(cycle)
             if len(cycle) < 3 or key in best:
                 continue
+            a, b = cycle[0], cycle[1]
+            if (a, b) not in cospecs:
+                cospecs[a, b] = strong_cospectrality(sd, a, b, tol=tol)
+            if cospecs[a, b] is not None and a not in periods:
+                periods[a] = is_periodic(sd, eigenvalue_support(sd, a))
+            if cospecs[a, b] is None or periods[a] is None:
+                continue
             try:
-                best[key] = complete_char(sd, cycle[0], p, tol=tol)
-            except (NotStronglyCospectralError, NotPeriodicError, NoValidMError):
+                best[key] = complete_char(sd, p, cospecs[a, b], periods[a], tol=tol)
+            except NoValidMError:
                 continue
     return sorted(best.values(), key=lambda c: (c.base_time, c.orbit))

@@ -246,7 +246,7 @@ def exhaustive_autos(g, node_budget=10**8):
     if n == 0:
         return [SwitchingAutomorphism((), ())]
     a = g.adjacency
-    degrees = [g.degree(u) for u in range(n)]
+    degrees = [int(np.count_nonzero(a[u])) for u in range(n)]
     order = [v for part in _components(g) for v in part]
     img = [-1] * n
     t = [0] * n  # sign factor seen from the source: t[u] = signs[img[u]]
@@ -380,7 +380,7 @@ def reference_parser():
     mode.add_argument(
         "--scan", action="store_true", help="scan (0, t_max] for transfers (default)"
     )
-    p_pst.add_argument("--t-max", type=float, default=20.0, help="scan horizon")
+    p_pst.add_argument("--t-max", type=float, default=None, help="scan horizon")
     p_mst = sub.add_parser(
         "mst",
         parents=[common, graphed],
@@ -407,7 +407,8 @@ def reference_emit_json(obj, indent=0):
     """The report serializer with one recursive call per value; a test oracle.
 
     owalk.cli._emit_json formats lists of scalars and scalar dict values
-    without recursing and must give this function's text and errors.
+    without recursing and must give this function's text and errors on
+    plain Python values; it refuses subclasses such as numpy floats.
     """
     pad = "  " * indent
     if obj is None:

@@ -221,10 +221,13 @@ def test_usage_errors_exit_2(tmp_path):
         # |U(t)[b, a]| = 1 - r^2/2 for residual r, so a tolerance of 1 or
         # more would accept a target that holds a quarter of the probability
         ("pst", "k3", "0", "1", "--time", "1", "--tol", "1e300"),
+        # one verified time has no horizon: --t-max would be silently unused
+        ("pst", "k3", "--time", "1", "0", "1", "--t-max", "5"),
     ]:
         proc = run_cli(*args)
         assert proc.returncode == 2, (args, proc.returncode, proc.stderr)
         assert "InputError" in proc.stderr, (args, proc.stderr)
+    assert "--time" in proc.stderr and "--t-max" in proc.stderr, proc.stderr
 
 
 def test_malformed_file_exit_2(tmp_path):
@@ -525,11 +528,16 @@ def test_emit_json_matches_reference_on_large_reports(tmp_path, monkeypatch):
     assert min(sizes) > 50_000 and max(sizes) > 1_000_000, sizes
 
 
+# numpy floats subclass float, but no report holds one: _emit_json formats
+# exact types only and refuses them, where the reference writes them out
+NUMPY_FLOATS = {"x": [np.float64(0.5), 1], "y": (np.float64(2.0),), "z": np.float64(1e-300)}
+
+
 @pytest.mark.parametrize(
     "obj",
     [
         [1, 2.5, "a", True, False, None, -0.0, 10**30, 'q"\\\u00e9'],
-        {"x": [np.float64(0.5), 1], "y": (np.float64(2.0),), "z": np.float64(1e-300)},
+        NUMPY_FLOATS,
         {"flags": [np.bool_(True)]},
         [[1, 2], {"a": []}, {}, (), [[]]],
         {"n": np.int64(3)},
@@ -541,6 +549,11 @@ def test_emit_json_matches_reference_on_large_reports(tmp_path, monkeypatch):
     ],
 )
 def test_emit_json_answers_and_fails_as_reference(obj):
+    if obj is NUMPY_FLOATS:
+        with pytest.raises(TypeError, match="cannot serialize float64 into the report"):
+            _emit_json(obj)
+        return
+
     def outcome(emit):
         try:
             return emit(obj)

@@ -1,8 +1,10 @@
-"""Every exported function is reached by the program or documented.
+"""Every exported function and class member is reached by the program or documented.
 
 A function in ``owalk.__all__`` that no module of ``src/owalk`` calls
 outside its own definition, and that the README does not name, is code
-only its tests reach; it should leave the package instead.
+only its tests reach; it should leave the package instead.  The same
+holds for the public methods and properties of exported classes, read
+as ``x.name`` in ``src/owalk`` or named so in the README.
 """
 
 import ast
@@ -47,3 +49,73 @@ def test_exported_functions_are_called_or_documented():
         if name not in called and not re.search(rf"\b{re.escape(name)}\b", readme)
     ]
     assert orphans == [], f"exported, never called in src/owalk and not in the README: {orphans}"
+
+
+def _attribute_reads(tree: ast.Module, classes: set[str]) -> set[tuple[str | None, str]]:
+    """(class, name) for every ``x.name`` outside the definition of that member.
+
+    The class of ``x`` is known when ``x`` is ``self``, a parameter annotated
+    with one exported class, or a local only ever assigned from one class's
+    constructor; otherwise it is None, and the read counts for every class.
+    """
+    reads: set[tuple[str | None, str]] = set()
+
+    def local_types(fn: ast.AST, cls: str | None) -> dict[str, str | None]:
+        sources: dict[str, set[str | None]] = {}
+        args = fn.args.posonlyargs + fn.args.args + fn.args.kwonlyargs
+        for i, arg in enumerate(args):
+            named = set(re.findall(r"\w+", ast.unparse(arg.annotation or ast.Constant(""))))
+            sources[arg.arg] = {cls} if cls and i == 0 else (named & classes) or {None}
+        for node in ast.walk(fn):
+            if isinstance(node, ast.Assign):
+                call = node.value if isinstance(node.value, ast.Call) else None
+                made = getattr(call and call.func, "id", None)
+                for target in node.targets:
+                    if isinstance(target, ast.Name):
+                        sources.setdefault(target.id, set()).add(made if made in classes else None)
+        return {name: kinds.pop() if len(kinds) == 1 else None for name, kinds in sources.items()}
+
+    def visit(node: ast.AST, cls: str | None, types: dict, member: tuple | None) -> None:
+        if isinstance(node, ast.ClassDef):
+            cls, types = node.name, {}
+        elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            types = {**types, **local_types(node, cls if member is None else None)}
+            member = (cls, node.name) if member is None else member
+            cls = None
+        elif isinstance(node, ast.Attribute):
+            recv = node.value
+            owner = types.get(recv.id) if isinstance(recv, ast.Name) else None
+            if member != (owner, node.attr):
+                reads.add((owner, node.attr))
+        for child in ast.iter_child_nodes(node):
+            visit(child, cls, types, member)
+
+    visit(tree, None, {}, None)
+    return reads
+
+
+def test_exported_class_members_are_read_or_documented():
+    classes = {
+        name: obj
+        for name in owalk.__all__
+        if inspect.isclass(obj := getattr(owalk, name)) and not issubclass(obj, Exception)
+    }
+    reads: set[tuple[str | None, str]] = set()
+    for path in sorted(SRC.glob("*.py")):
+        reads |= _attribute_reads(ast.parse(path.read_text(encoding="utf-8")), set(classes))
+    readme = README.read_text(encoding="utf-8")
+    members = [
+        (name, attr)
+        for name, cls in classes.items()
+        for attr, value in vars(cls).items()
+        if not attr.startswith("_") and (inspect.isfunction(value) or isinstance(value, property))
+    ]
+    assert members
+    orphans = [
+        f"{name}.{attr}"
+        for name, attr in members
+        if (name, attr) not in reads
+        and (None, attr) not in reads
+        and not re.search(rf"\.{re.escape(attr)}\b", readme)
+    ]
+    assert orphans == [], f"members never read in src/owalk and not in the README: {orphans}"

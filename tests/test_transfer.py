@@ -10,7 +10,9 @@ from owalk import (
     builtin_example,
     complete_char,
     decompose,
+    eigenvalue_support,
     first_char_check,
+    is_periodic,
     mst_search,
     scan_pst,
     strong_cospectrality,
@@ -19,11 +21,12 @@ from owalk import (
 from owalk.errors import (
     DisconnectedGraphError,
     InputError,
+    NotPeriodicError,
     NoValidMError,
     NotStronglyCospectralError,
 )
 
-from conftest import grid_scan, k3_power, random_oriented_graph
+from conftest import grid_scan, k3_power, paley_tournament, random_oriented_graph
 
 K3_TAU = 2 * math.pi / (3 * math.sqrt(3))
 IRR5_TAU = (math.pi + math.acos(3.0 / 4.0)) / math.sqrt(7)
@@ -183,9 +186,15 @@ def test_first_char_matches_verify_on_random_graphs(rng):
     # still exercised through the None == None branch thousands of times
 
 
+def _certified(sd, a, p):
+    """complete_char on the orbit of ``a``, with the certificates it takes."""
+    cospec = strong_cospectrality(sd, a, p.apply(a))
+    return complete_char(sd, p, cospec, is_periodic(sd, eigenvalue_support(sd, a)))
+
+
 def test_complete_char_k3(k3_sd):
     rot = SwitchingAutomorphism((1, 2, 0), (1, 1, 1))
-    cert = complete_char(k3_sd, 0, rot)
+    cert = _certified(k3_sd, 0, rot)
     assert cert.orbit == (0, 1, 2)
     assert cert.m == 1
     assert abs(cert.base_time - K3_TAU) < 1e-12
@@ -210,13 +219,28 @@ def test_complete_char_rejects_non_cospectral_orbit(irrational5_sd):
     p = SwitchingAutomorphism(perm, (1, 1, 1, 1, 1))
     assert is_switching_automorphism(irrational5_sd.graph, p)
     with pytest.raises(NotStronglyCospectralError):
-        complete_char(irrational5_sd, 0, p)
+        _certified(irrational5_sd, 0, p)
 
 
 def test_complete_char_requires_orbit(k3_sd):
     neg = SwitchingAutomorphism((0, 1, 2), (-1, -1, -1))
     with pytest.raises(ValueError):
-        complete_char(k3_sd, 0, neg)
+        _certified(k3_sd, 0, neg)
+
+
+def test_complete_char_checks_its_certificates(k3_sd):
+    rot = SwitchingAutomorphism((1, 2, 0), (1, 1, 1))
+    period = {a: is_periodic(k3_sd, eigenvalue_support(k3_sd, a)) for a in range(3)}
+    cospec = {(a, b): strong_cospectrality(k3_sd, a, b) for a in range(3) for b in range(3)}
+    assert complete_char(k3_sd, rot, cospec[0, 1], period[0]).orbit == (0, 1, 2)
+    # certificates of another pair, or of another vertex, do not fit the orbit step 0 -> 1
+    for pair, vertex in [((0, 2), 0), ((1, 2), 0), ((0, 0), 0), ((0, 1), 1), ((0, 1), 2)]:
+        with pytest.raises(ValueError):
+            complete_char(k3_sd, rot, cospec[pair], period[vertex])
+    with pytest.raises(NotStronglyCospectralError):
+        complete_char(k3_sd, rot, None, period[0])
+    with pytest.raises(NotPeriodicError):
+        complete_char(k3_sd, rot, cospec[0, 1], None)
 
 
 def test_complete_char_no_valid_m():
@@ -230,7 +254,7 @@ def test_complete_char_no_valid_m():
     if not is_switching_automorphism(sd.graph, swap):
         pytest.skip("relabeling is not an automorphism of this orientation")
     try:
-        cert = complete_char(sd, 0, swap)
+        cert = _certified(sd, 0, swap)
     except (NotStronglyCospectralError, NoValidMError):
         return
     assert verify_pst(sd, 0, 2, cert.base_time) is not None
@@ -280,18 +304,42 @@ def test_mst_search_certifies_each_orbit_set_once(mst8_sd, monkeypatch):
     calls = []
     held = set()
 
-    def counting(sd, a, p, tol):
-        key = frozenset(owalk.transfer.orbit(p, a))
+    def counting(sd, p, cospec, period, tol):
+        key = frozenset(owalk.transfer.orbit(p, cospec.a))
         assert key not in held, key
         calls.append(key)
-        cert = real(sd, a, p, tol=tol)
+        cert = real(sd, p, cospec, period, tol=tol)
         held.add(key)
         return cert
 
     monkeypatch.setattr(owalk.transfer, "complete_char", counting)
     certs = mst_search(mst8_sd)
     assert {frozenset(c.orbit) for c in certs} == held
-    assert len(calls) == 34
+    assert len(calls) == 2
+
+
+@pytest.mark.parametrize("g", [k3_power(3), paley_tournament(11)], ids=["k3xk3xk3", "paley11"])
+def test_mst_search_decides_each_pair_and_vertex_once(g, monkeypatch):
+    sd = decompose(g)
+    expected = [(c.orbit, c.m, c.pair_times) for c in mst_search(sd)]
+    pairs, vertices = [], []
+
+    def cospectrality(sd, a, b, tol):
+        pairs.append((a, b))
+        return strong_cospectrality(sd, a, b, tol=tol)
+
+    def periodicity(sd, support):
+        vertices.append(support.vertex)
+        return is_periodic(sd, support)
+
+    monkeypatch.setattr(owalk.transfer, "strong_cospectrality", cospectrality)
+    monkeypatch.setattr(owalk.transfer, "is_periodic", periodicity)
+    assert [(c.orbit, c.m, c.pair_times) for c in mst_search(sd)] == expected
+    assert pairs
+    assert len(pairs) == len(set(pairs)), "a pair (a, p(a)) was tested twice"
+    # periodicity is decided exactly for the starts of strongly cospectral pairs
+    assert set(vertices) == {a for a, b in pairs if strong_cospectrality(sd, a, b)}
+    assert len(vertices) == len(set(vertices)), "a start vertex was tested twice"
 
 
 def test_verify_pst_rejects_wrong_time(k3_sd):
