@@ -25,9 +25,6 @@ from .errors import (
     GraphParseError,
     InputError,
     InternalInconsistencyError,
-    NotPeriodicError,
-    NotStronglyCospectralError,
-    NoValidMError,
     OwalkError,
     SearchBudgetExceededError,
     VerificationFailedError,
@@ -65,9 +62,6 @@ __all__ = [
     "IntPolynomial",
     "InternalInconsistencyError",
     "MSTCertificate",
-    "NoValidMError",
-    "NotPeriodicError",
-    "NotStronglyCospectralError",
     "OrientedGraph",
     "OwalkError",
     "PeriodicityCertificate",

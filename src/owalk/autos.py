@@ -10,9 +10,9 @@ Entrywise the exact identity reads
 
     signs[perm[u]] * signs[perm[v]] * A[perm[u]][perm[v]] == A[u][v].
 
-The identity permutation with all signs -1 is always a switching
-automorphism; the search therefore reports it, and suppresses only the
-identity-with-all-+1 matrix unless nothing else exists.
+The search leaves out the identity matrix.  The identity permutation
+with all signs -1 is always a switching automorphism, so for n >= 1 the
+list it reports is never empty.
 
 The group is found as a stabilizer chain along a breadth-first base, the
 vertices in the order ``graph._components`` visits them (McKay & Piperno,
@@ -132,8 +132,9 @@ def find_switching_automorphisms(
     """Every switching automorphism, from a stabilizer chain (module docstring).
 
     Results are sorted lexicographically by (perm, signs), and each one is
-    checked exactly (VerificationFailedError).  The identity permutation
-    with all +1 signs is omitted unless it is the only automorphism.
+    checked exactly (VerificationFailedError).  The identity matrix is
+    omitted; -I is always listed.  The empty graph (n = 0) gets the empty
+    signed permutation.
     ``node_budget`` bounds the candidate images tried by all searches
     together plus n per listed element (SearchBudgetExceededError).
     """
@@ -221,8 +222,7 @@ def find_switching_automorphisms(
             raise VerificationFailedError(
                 f"search produced perm={p.perm} signs={p.signs}, which fails P^T A P = A"
             )
-    nontrivial = [p for p in autos if p != identity]
-    return nontrivial if nontrivial else autos
+    return [p for p in autos if p != identity]
 
 
 def _orbit(

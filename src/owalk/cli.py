@@ -119,10 +119,8 @@ def _sigma_multiple(t: float, sigma: float) -> Fraction | None:
             return Fraction(p, q) if p > 0 else None
 
 
-def _sigma_note(frac: Fraction | None, sigma: float | None) -> tuple[str, str | None]:
+def _sigma_note(frac: Fraction | None, sigma: float) -> tuple[str, str | None]:
     """Human note and JSON tag relating a time, frac*sigma, to the period sigma."""
-    if sigma is None:
-        return "(source vertex is not periodic)", None
     if frac is None:
         note = (
             f"not a rational multiple of sigma = {sigma!r} "
@@ -175,13 +173,15 @@ def _check_vertex(g: OrientedGraph, v: int, role: str) -> None:
         raise VertexOutOfRangeError(f"{role} {v} out of range for n = {g.n}")
 
 
-def _sigma_of(sd, vertex: int) -> float | None:
-    """Minimum period of the vertex, or None when aperiodic."""
+def _sigma_of(sd, vertex: int) -> tuple[float | None, str]:
+    """Minimum period of the vertex, or None and the note that says why it has none."""
     try:
         cert = is_periodic(sd, eigenvalue_support(sd, vertex))
     except DisconnectedGraphError:
-        return None
-    return None if cert is None else cert.sigma
+        return None, "(periodicity is defined only for connected graphs)"
+    if cert is None:
+        return None, "(source vertex is not periodic)"
+    return cert.sigma, ""
 
 
 # --- subcommand handlers --------------------------------------------------
@@ -307,11 +307,13 @@ def _cmd_pst(args, g, report, lines) -> bool:
     else:
         t_max = DEFAULT_SCAN_TMAX if args.t_max is None else args.t_max
         certs = scan_pst(sd, args.a, args.b, t_max=t_max, tol=args.eff_tol)
-    sigma = _sigma_of(sd, args.a) if certs else None
+    sigma, why = _sigma_of(sd, args.a) if certs else (None, "")
     entries = []
     for cert in certs:
-        frac = None if sigma is None else _sigma_multiple(cert.time, sigma)
-        note, tag = _sigma_note(frac, sigma)
+        if sigma is None:
+            note, tag = why, None
+        else:
+            note, tag = _sigma_note(_sigma_multiple(cert.time, sigma), sigma)
         entries.append(
             {
                 "source": cert.source,
@@ -353,20 +355,19 @@ def _cmd_mst(args, g, report, lines) -> bool:
     for cert in certs:
         k = len(cert.orbit)
         sigma = cert.base_time * k
-        pairs = []
-        for (i, j), t in sorted(cert.pair_times.items()):
-            pairs.append(
-                {
-                    "i": i,
-                    "j": j,
-                    "source": cert.orbit[i],
-                    "target": cert.orbit[j],
-                    "time": float(t),
-                    "steps": round(t / cert.base_time),
-                    "phase": cert.phases[(i, j)],
-                    "residual": float(cert.residuals[(i, j)]),
-                }
-            )
+        pairs = [
+            {
+                "i": i,
+                "j": j,
+                "source": pair.source,
+                "target": pair.target,
+                "time": float(pair.time),
+                "steps": round(pair.time / cert.base_time),
+                "phase": pair.phase,
+                "residual": float(pair.residual),
+            }
+            for (i, j), pair in sorted(cert.pairs.items())
+        ]
         section.append(
             {
                 "orbit": list(cert.orbit),

@@ -1,9 +1,12 @@
 """Exception types shared across the package.
 
-Two broad families matter to callers: `InputError` covers problems with
-what the user handed in (bad graphs, bad vertex indices), while
+Every error belongs to exactly one of two families under `OwalkError`:
+`InputError` covers problems with what the user handed in (bad graphs,
+bad vertex indices, work beyond a stated bound), while
 `InternalInconsistencyError` covers checks that should never fail on a
 well-formed run and signal a tolerance or logic problem when they do.
+The command line exits 2 for the first family and 3 for the second.
+Negative verdicts are not errors: the analyses return None for them.
 """
 
 from __future__ import annotations
@@ -24,9 +27,6 @@ __all__ = [
     "InconsistentExactCheckError",
     "VerificationFailedError",
     "SearchBudgetExceededError",
-    "NotStronglyCospectralError",
-    "NotPeriodicError",
-    "NoValidMError",
 ]
 
 
@@ -86,17 +86,5 @@ class VerificationFailedError(InternalInconsistencyError):
     """A parity condition passed but the numeric check did not."""
 
 
-class SearchBudgetExceededError(OwalkError):
+class SearchBudgetExceededError(InputError):
     """The automorphism search exhausted its node budget."""
-
-
-class NotStronglyCospectralError(OwalkError):
-    """The vertex pair is not strongly cospectral."""
-
-
-class NotPeriodicError(OwalkError):
-    """The vertex is not periodic."""
-
-
-class NoValidMError(OwalkError):
-    """No admissible power satisfies the parity condition."""

@@ -23,6 +23,7 @@ import numpy as np
 from .errors import (
     DuplicateEdgeError,
     GraphParseError,
+    InputError,
     SelfLoopError,
     UnknownExampleError,
     VertexOutOfRangeError,
@@ -74,7 +75,12 @@ class OrientedGraph:
             checked.append((u, v))
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "edges", tuple(sorted(checked)))
-        a = np.zeros((n, n), dtype=np.int64)
+        try:
+            a = np.zeros((n, n), dtype=np.int64)
+        except (MemoryError, ValueError):  # ValueError: past numpy's largest array size
+            raise InputError(
+                f"the {n} x {n} adjacency matrix of n = {n} vertices cannot be allocated"
+            ) from None
         for u, v in checked:
             a[u, v] = 1
             a[v, u] = -1

@@ -20,12 +20,22 @@ is periodic with minimal period sigma and strongly cospectral with P a,
 for a switching automorphism P whose orbit of a has length k, PST from a
 to P^m a at sigma/k for an m coprime to k forces PST on the whole orbit.
 ``complete_char`` takes both certificates; ``mst_search`` decides each once.
+
+P carries signs: P e_u = s_{p(u)} e_{p(u)}, and P commutes with every
+E_r.  Applying P^i to E_r e_a = alpha_r E_r e_{p(a)} gives
+E_r e_{p^i(a)} = alpha_r s_{p(a)} s_{p^(i+1)(a)} E_r e_{p^(i+1)(a)}, so
+
+    E_r e_a = alpha_r^m * s_{p(a)}^m * s_{p(a)} s_{p^2(a)} ... s_{p^m(a)} * E_r e_{p^m(a)}.
+
+The sign factor is the same for every r: it leaves the parity test as it
+is and multiplies the phase that the parity predicts.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import permutations
 
 import numpy as np
 
@@ -35,9 +45,6 @@ from .errors import (
     DisconnectedGraphError,
     InputError,
     NonRealResultError,
-    NoValidMError,
-    NotPeriodicError,
-    NotStronglyCospectralError,
     VerificationFailedError,
 )
 from .periodicity import PeriodicityCertificate, is_periodic
@@ -76,18 +83,16 @@ class TransferCertificate:
 class MSTCertificate:
     """Verified multiple state transfer on an automorphism orbit.
 
-    ``pair_times``, ``phases`` and ``residuals`` are keyed by positions
-    (i, j) into ``orbit``; the base transfer runs from orbit[0] to
-    orbit[m] at ``base_time``.
+    ``pairs`` maps positions (i, j) into ``orbit`` to the certificate of
+    the transfer orbit[i] -> orbit[j]; the base transfer runs from
+    orbit[0] to orbit[m] at ``base_time``.
     """
 
     orbit: tuple[int, ...]
     base_time: float
     automorphism: SwitchingAutomorphism
     m: int
-    pair_times: dict[tuple[int, int], float]
-    phases: dict[tuple[int, int], int]
-    residuals: dict[tuple[int, int], float]
+    pairs: dict[tuple[int, int], TransferCertificate]
 
 
 def verify_pst(
@@ -133,12 +138,11 @@ def first_char_check(
     Evaluates v_r = q_r - tau*y_r/pi over the support; returns "even" or
     "odd" when every v_r is within DEFAULT_PARITY_TOL of an integer and
     the parities agree, else None.  PST at tau is equivalent to a uniform
-    parity, with phase +1 for even and -1 for odd.
+    parity, with phase +1 for even and -1 for odd.  A pair that is not
+    strongly cospectral (``cospec`` None) has no transfer at any time.
     """
     if cospec is None:
-        raise NotStronglyCospectralError(
-            "first characterization needs a strong cospectrality certificate"
-        )
+        return None
     values = [
         cospec.quarrels[r] - tau * float(sd.eigenvalues[r]) / math.pi
         for r in cospec.support
@@ -249,92 +253,65 @@ def complete_char(
     cospec: CospectralityCertificate | None,
     period: PeriodicityCertificate | None,
     tol: float = DEFAULT_PST_TOL,
-) -> MSTCertificate:
+) -> MSTCertificate | None:
     """Certify MST on the orbit of a = ``cospec.a`` under ``p`` via the parity criterion.
 
-    Takes strong cospectrality of a with p(a) (NotStronglyCospectralError
-    if None) and periodicity of a (NotPeriodicError if None); certificates
-    that do not fit an orbit of length >= 2 raise ValueError.  Searches for
-    m coprime to the orbit length k such that the numbers
+    Takes strong cospectrality of a with p(a) and periodicity of a, and
+    returns None when either is None; certificates that do not fit an
+    orbit of length >= 2 raise ValueError.  Searches for m coprime to the
+    orbit length k such that the numbers
 
         m * q_r(a, p(a)) - c * sign(y_r) * b_r / (g * k)
 
     share a parity over the support, where c is 1 for period phase -1 and
-    2 for phase +1 (the c-term is sigma*y_r/(k*pi) written exactly).  A
-    passing m implies PST from a to p^m(a) at sigma/k; every ordered
-    orbit pair is then verified numerically, and any numeric failure
-    after a parity pass raises VerificationFailedError.
+    2 for phase +1 (the c-term is sigma*y_r/(k*pi) written exactly), and
+    returns None when no m does.  A passing m implies PST from a to
+    p^m(a) at sigma/k, with the phase of the parity times the sign factor
+    of p (module docstring); every ordered orbit pair is then verified
+    numerically, and any numeric failure after a parity pass raises
+    VerificationFailedError.
     """
-    if cospec is None:
-        raise NotStronglyCospectralError("MST needs a strong cospectrality certificate")
-    if period is None:
-        raise NotPeriodicError("MST needs a periodicity certificate")
+    if cospec is None or period is None:
+        return None
     a = cospec.a
     orb = orbit(p, a)
     k = len(orb)
     if k < 2 or cospec.b != p.apply(a) or period.vertex != a:
         raise ValueError(f"certificates ({a}, {cospec.b}), {period.vertex} do not fit orbit {orb}")
     c = 1 if period.phase == -1 else 2
-    chosen_m: int | None = None
+    y = sd.eigenvalues
+    v_terms = [
+        0.0 if y[r] == 0.0 else c * math.copysign(period.b_coeffs[r], y[r]) / (period.g * k)
+        for r in cospec.support
+    ]
     for m in range(1, k):
-        if math.gcd(m, k) != 1:
-            continue
-        terms = []
-        for r in cospec.support:
-            y = float(sd.eigenvalues[r])
-            if y == 0.0:
-                v_term = 0.0
-            else:
-                v_term = c * math.copysign(period.b_coeffs[r], y) / (period.g * k)
-            terms.append(m * cospec.quarrels[r] - v_term)
-        parity = _parity_of(terms)
-        if parity is not None:
-            chosen_m = m
-            expected_phase = -1 if parity else 1
-            break
-    if chosen_m is None:
-        raise NoValidMError(
-            f"no m coprime to {k} satisfies the parity condition for vertex {a}"
-        )
+        if math.gcd(m, k) == 1:
+            terms = [m * cospec.quarrels[r] - v for r, v in zip(cospec.support, v_terms)]
+            parity = _parity_of(terms)
+            if parity is not None:
+                break
+    else:
+        return None
+    sign = p.signs[orb[1]] ** m * math.prod(p.signs[w] for w in orb[1 : m + 1])
+    expected_phase = (-1 if parity else 1) * sign
     tau = period.sigma / k
-    base = verify_pst(sd, a, orb[chosen_m], tau, tol)
-    if base is None:
-        raise VerificationFailedError(
-            f"parity passed at m={chosen_m} but transfer {a} -> {orb[chosen_m]} "
-            f"at {tau} failed the numeric check"
-        )
-    if base.phase != expected_phase:
+    m_inv = pow(m, -1, k)
+    pairs: dict[tuple[int, int], TransferCertificate] = {}
+    for i, j in permutations(range(k), 2):
+        t_ij = ((j - i) * m_inv % k) * tau
+        cert = verify_pst(sd, orb[i], orb[j], t_ij, tol)
+        if cert is None:
+            raise VerificationFailedError(
+                f"parity passed at m={m} but orbit pair {orb[i]} -> {orb[j]} "
+                f"failed the numeric check at t = {t_ij}"
+            )
+        pairs[i, j] = cert
+    if pairs[0, m].phase != expected_phase:
         raise VerificationFailedError(
             f"parity predicts phase {expected_phase} but the realized phase "
-            f"is {base.phase}"
+            f"is {pairs[0, m].phase}"
         )
-    m_inv = pow(chosen_m, -1, k)
-    pair_times: dict[tuple[int, int], float] = {}
-    phases: dict[tuple[int, int], int] = {}
-    residuals: dict[tuple[int, int], float] = {}
-    for i in range(k):
-        for j in range(k):
-            if i == j:
-                continue
-            steps = ((j - i) * m_inv) % k
-            t_ij = steps * tau
-            cert = verify_pst(sd, orb[i], orb[j], t_ij, tol)
-            if cert is None:
-                raise VerificationFailedError(
-                    f"orbit pair {orb[i]} -> {orb[j]} failed at t = {t_ij}"
-                )
-            pair_times[(i, j)] = t_ij
-            phases[(i, j)] = cert.phase
-            residuals[(i, j)] = cert.residual
-    return MSTCertificate(
-        orbit=orb,
-        base_time=tau,
-        automorphism=p,
-        m=chosen_m,
-        pair_times=pair_times,
-        phases=phases,
-        residuals=residuals,
-    )
+    return MSTCertificate(orbit=orb, base_time=tau, automorphism=p, m=m, pairs=pairs)
 
 
 def mst_search(
@@ -346,7 +323,7 @@ def mst_search(
 
     Tries every cycle of every switching automorphism from its least
     vertex a (or the cycle from ``vertex``), deciding strong cospectrality
-    once per pair (a, p(a)) and periodicity once per a; condition failures
+    once per pair (a, p(a)) and periodicity once per a; negative verdicts
     are skipped, numeric verification failures propagate.  A set already
     certified is not tried again: its base time sigma/k is fixed by the set.
     """
@@ -365,8 +342,7 @@ def mst_search(
                 periods[a] = is_periodic(sd, eigenvalue_support(sd, a))
             if cospecs[a, b] is None or periods[a] is None:
                 continue
-            try:
-                best[key] = complete_char(sd, p, cospecs[a, b], periods[a], tol=tol)
-            except NoValidMError:
-                continue
+            cert = complete_char(sd, p, cospecs[a, b], periods[a], tol=tol)
+            if cert is not None:
+                best[key] = cert
     return sorted(best.values(), key=lambda c: (c.base_time, c.orbit))

@@ -11,8 +11,12 @@ import numpy as np
 import pytest
 
 import owalk.arithmetic
+import owalk.autos
+import owalk.errors
 from owalk import serialize_graph
 import owalk.cli
+import owalk.transfer
+from owalk.errors import InputError, InternalInconsistencyError
 from owalk.cli import _build_parser, _emit_json, _parse_plain, _sigma_multiple, main
 
 from conftest import (
@@ -100,6 +104,21 @@ def test_pst_scan_k3():
     assert certs[0]["sigma_multiple"] == "1/3"
 
 
+def test_pst_note_on_disconnected_graph(tmp_path):
+    # periodicity is defined only for connected graphs, so the note says
+    # that instead of calling the source aperiodic
+    path = tmp_path / "two_k3.og"
+    path.write_text("n 6\ne 0 1\ne 1 2\ne 2 0\ne 3 4\ne 4 5\ne 5 3\n")
+    proc = run_cli("pst", str(path), "0", "1", "--t-max", "3", check=True)
+    assert "  t (periodicity is defined only for connected graphs)" in proc.stdout.splitlines()
+    assert "not periodic" not in proc.stdout
+    certs = run_json("pst", str(path), "0", "1", "--t-max", "3")["transfers"]
+    assert len(certs) == 1
+    assert certs[0]["sigma"] is None and certs[0]["sigma_multiple"] is None
+    proc = run_cli("periodic", str(path), "0")
+    assert proc.returncode == 2 and "DisconnectedGraphError" in proc.stderr
+
+
 def test_pst_verify_at_time():
     tau = 2 * math.pi / (3 * math.sqrt(3))
     report = run_json("pst", "k3", "0", "1", "--time", repr(tau))
@@ -140,6 +159,23 @@ def test_mst_mst8_json():
         assert pair["residual"] < 1e-6
         assert pair["source"] == cert["orbit"][pair["i"]]
         assert pair["target"] == cert["orbit"][pair["j"]]
+
+
+def test_mst_transitive_triangle(tmp_path):
+    # k3 switched at vertex 2 and relabeled: the orbit's automorphism
+    # carries signs, and the phase it predicts must carry them too
+    path = tmp_path / "transitive.og"
+    path.write_text("n 3\ne 0 1\ne 2 0\ne 2 1\n")
+    for vertex, orbit in ((None, [0, 1, 2]), (1, [1, 2, 0]), (2, [2, 0, 1])):
+        args = ["mst", str(path)] + ([] if vertex is None else ["--vertex", str(vertex)])
+        [cert] = run_json(*args)["mst"]
+        assert cert["orbit"] == orbit
+        assert cert["m"] == 2
+        assert cert["automorphism"]["perm"] == [1, 2, 0]
+        assert cert["automorphism"]["signs"] == [-1, -1, 1]
+        assert cert["base_time"] == pytest.approx(2 * math.pi / (3 * math.sqrt(3)), abs=1e-12)
+        assert len(cert["pairs"]) == 6
+        assert all(pair["residual"] < 1e-10 for pair in cert["pairs"])
 
 
 def test_cospectral_support_commands():
@@ -228,6 +264,40 @@ def test_usage_errors_exit_2(tmp_path):
         assert proc.returncode == 2, (args, proc.returncode, proc.stderr)
         assert "InputError" in proc.stderr, (args, proc.stderr)
     assert "--time" in proc.stderr and "--t-max" in proc.stderr, proc.stderr
+
+
+def test_unallocatable_vertex_count_exits_2(tmp_path):
+    # 10^8 vertices ask numpy for 8e16 bytes, which it refuses at once
+    path = tmp_path / "huge.og"
+    path.write_text("n 100000000\n")
+    proc = run_cli("spectrum", str(path))
+    assert proc.returncode == 2, proc.stderr
+    assert proc.stderr.startswith("error: InputError:") and "100000000" in proc.stderr
+
+
+def test_search_budget_exits_2(monkeypatch, capsys):
+    # running out of search nodes is work beyond a stated bound, as a scan
+    # over too many candidate times is; no certificate failed
+    real = owalk.autos.find_switching_automorphisms
+
+    def tight(g):
+        return real(g, node_budget=5)
+
+    monkeypatch.setattr(owalk.cli, "find_switching_automorphisms", tight)
+    monkeypatch.setattr(owalk.transfer, "find_switching_automorphisms", tight)
+    for command in ("autos", "mst"):
+        assert main([command, "mst8"]) == 2
+        assert capsys.readouterr().err.startswith("error: SearchBudgetExceededError:")
+
+
+def test_every_error_has_one_exit_code():
+    # main exits 2 for an InputError and 3 for any other OwalkError, so
+    # every error class must say which family it belongs to
+    roots = {"OwalkError", "InputError", "InternalInconsistencyError"}
+    for name in set(owalk.errors.__all__) - roots:
+        cls = getattr(owalk.errors, name)
+        assert issubclass(cls, (InputError, InternalInconsistencyError)), name
+        assert not issubclass(cls, InputError) or not issubclass(cls, InternalInconsistencyError)
 
 
 def test_malformed_file_exit_2(tmp_path):

@@ -13,6 +13,7 @@ from owalk import (
 from owalk.errors import (
     DuplicateEdgeError,
     GraphParseError,
+    InputError,
     SelfLoopError,
     UnknownExampleError,
     VertexOutOfRangeError,
@@ -128,3 +129,12 @@ def test_isolated_vertex_allowed():
     g = build_graph(3, [(0, 1)])
     assert not g.adjacency[2].any()
     assert isinstance(g, OrientedGraph)
+
+
+@pytest.mark.parametrize("n", [10**8, 10**10])
+def test_unallocatable_vertex_count_is_an_input_error(n):
+    # the n x n adjacency matrix would take 8e16 bytes or more; numpy
+    # refuses it before touching memory (past 2^63 bytes it cannot even
+    # state the size), and the error names the vertex count
+    with pytest.raises(InputError, match=str(n)):
+        build_graph(n, [])
