@@ -25,8 +25,9 @@ orbit closed under the generators gives one transversal element per
 point.  Branches die once the images still open to the unassigned
 vertices cannot be matched one-to-one.  The group is listed as products
 of one transversal element per level (level 0's sign pinned to +1), each
-then emitted again negated.  ``node_budget`` counts candidate images
-tried by all searches, plus n per element listed.
+then emitted again negated, so |G| = 2 * prod(transversal lengths) is
+known first.  ``node_budget`` counts candidate images tried by all
+searches, plus n * |G| charged before any product is formed.
 
 ``SwitchingAutomorphism.cycles`` is the one cycle walk: ``order`` reads
 it, and ``transfer.mst_search`` tries each cycle from its least vertex.
@@ -136,11 +137,38 @@ def find_switching_automorphisms(
     omitted; -I is always listed.  The empty graph (n = 0) gets the empty
     signed permutation.
     ``node_budget`` bounds the candidate images tried by all searches
-    together plus n per listed element (SearchBudgetExceededError).
+    together plus n * |G|, charged before listing (SearchBudgetExceededError).
     """
     n = g.n
     if n == 0:
         return [SwitchingAutomorphism((), ())]
+    transversals, nodes = _stabilizer_chain(g, node_budget)
+    order = 2 * math.prod(map(len, transversals))  # the 2 is -I: level 0's sign is pinned
+    if nodes + n * order > node_budget:
+        raise SearchBudgetExceededError(
+            f"automorphism group of order {order} is too large to list in {node_budget} nodes"
+        )
+    identity = SwitchingAutomorphism(tuple(range(n)), (1,) * n)
+    listed = [identity]
+    for reps in transversals:
+        if len(reps) > 1:
+            listed = [_compose(rep, below) for rep in reps for below in listed]
+    listed += [SwitchingAutomorphism(p.perm, tuple(-x for x in p.signs)) for p in listed]
+    autos = sorted(listed, key=lambda p: (p.perm, p.signs))
+    for p in autos:
+        if not is_switching_automorphism(g, p):
+            raise VerificationFailedError(
+                f"search produced perm={p.perm} signs={p.signs}, which fails P^T A P = A"
+            )
+    return [p for p in autos if p != identity]
+
+
+def _stabilizer_chain(
+    g: OrientedGraph, node_budget: int
+) -> tuple[list[list[SwitchingAutomorphism]], int]:
+    """Transversals from the last level up (level 0's with sign +1 only) and
+    the candidate images tried, for n >= 1 (module docstring)."""
+    n = g.n
     rows = g.adjacency.tolist()
     base = [v for part in _components(g) for v in part]
     identity = SwitchingAutomorphism(tuple(range(n)), (1,) * n)
@@ -200,7 +228,7 @@ def find_switching_automorphisms(
         prefix_ok.append(ok)
         ok = fix(ok, pos, base[pos], 1)
     generators: list[SwitchingAutomorphism] = []
-    listed = [identity]
+    transversals = []
     for level in reversed(range(n)):
         ok, u = prefix_ok.pop(), base[level]
         orbit = _orbit(generators, u, identity)
@@ -211,18 +239,8 @@ def find_switching_automorphisms(
             if leaf is not None:
                 generators.append(leaf)
                 orbit = _orbit(generators, u, identity)
-        reps = [rep for (w, s), rep in orbit.items() if level or s == 1]
-        if len(reps) > 1:
-            spend(n * len(reps) * len(listed))  # the leaves' paths, as if walked
-            listed = [_compose(rep, below) for rep in reps for below in listed]
-    listed += [SwitchingAutomorphism(p.perm, tuple(-x for x in p.signs)) for p in listed]
-    autos = sorted(listed, key=lambda p: (p.perm, p.signs))
-    for p in autos:
-        if not is_switching_automorphism(g, p):
-            raise VerificationFailedError(
-                f"search produced perm={p.perm} signs={p.signs}, which fails P^T A P = A"
-            )
-    return [p for p in autos if p != identity]
+        transversals.append([rep for (w, s), rep in orbit.items() if level or s == 1])
+    return transversals, nodes
 
 
 def _orbit(

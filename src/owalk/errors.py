@@ -87,4 +87,5 @@ class VerificationFailedError(InternalInconsistencyError):
 
 
 class SearchBudgetExceededError(InputError):
-    """The automorphism search exhausted its node budget."""
+    """The automorphism search exhausted its node budget: the candidate images
+    tried, plus n * |G| charged before a group of order |G| is listed."""

@@ -1,4 +1,6 @@
 import itertools
+import math
+import time
 
 import numpy as np
 import pytest
@@ -12,7 +14,7 @@ from owalk import (
     is_switching_automorphism,
     orbit,
 )
-from owalk.autos import _compose
+from owalk.autos import DEFAULT_NODE_BUDGET, _compose, _stabilizer_chain
 from owalk.errors import SearchBudgetExceededError
 
 from conftest import (
@@ -23,6 +25,12 @@ from conftest import (
     random_oriented_graph,
     transition_matrix,
 )
+
+
+def group_order(g):
+    """|G| read off the stabilizer chain, before anything is listed."""
+    transversals, _ = _stabilizer_chain(g, DEFAULT_NODE_BUDGET)
+    return 2 * math.prod(map(len, transversals))
 
 
 def test_k3_census(k3):
@@ -163,8 +171,19 @@ def test_results_deterministic_and_sorted(mst8):
 
 
 def test_budget_error(mst8):
-    with pytest.raises(SearchBudgetExceededError):
+    # the candidate-image search trips the budget, long before any listing
+    with pytest.raises(SearchBudgetExceededError, match="^automorphism search exceeded 5 nodes$"):
         find_switching_automorphisms(mst8, node_budget=5)
+
+
+@pytest.mark.parametrize("n, order", [(10, 3_715_891_200), (14, 1_428_329_123_020_800)])
+def test_group_too_large_to_list_is_refused_at_once(n, order):
+    # n isolated vertices: |G| = 2^n n!, so n |G| is far over the budget;
+    # the chain gives |G| before a single product is formed
+    start = time.perf_counter()
+    with pytest.raises(SearchBudgetExceededError, match=f"group of order {order} is too large"):
+        find_switching_automorphisms(build_graph(n, []))
+    assert time.perf_counter() - start < 0.1
 
 
 def test_every_result_verifies(rng):
@@ -200,10 +219,26 @@ def test_search_matches_brute_force(rng):
         found = set(find_switching_automorphisms(g))
         found.add(SwitchingAutomorphism(tuple(range(n)), (1,) * n))
         assert found == set(group), g.edges
+        assert group_order(g) == len(group), g.edges
 
 
-@pytest.mark.parametrize("q", [7, 11, 19, 23, 31])
+@pytest.mark.parametrize("q", [7, 11, 19, 23, 31, 43])
 def test_paley_group_order(q):
     # x -> ax + b with a a nonzero square, each with all signs +1 or all
     # -1: q(q - 1) elements, of which the identity is not reported
-    assert len(find_switching_automorphisms(paley_tournament(q))) == q * (q - 1) - 1
+    g = paley_tournament(q)
+    assert group_order(g) == q * (q - 1)
+    assert len(find_switching_automorphisms(g)) == q * (q - 1) - 1
+
+
+CHAIN_GRAPHS = {
+    **{f"cycle{n}": build_graph(n, [(i, (i + 1) % n) for i in range(n)]) for n in range(3, 13)},
+    **{f"k3^{d}": k3_power(d) for d in range(1, 5)},
+    "mst8": builtin_example("mst8"),
+}
+
+
+@pytest.mark.parametrize("name", CHAIN_GRAPHS)
+def test_chain_order_counts_the_listed_group(name):
+    g = CHAIN_GRAPHS[name]
+    assert group_order(g) == len(find_switching_automorphisms(g)) + 1

@@ -287,7 +287,21 @@ def test_search_budget_exits_2(monkeypatch, capsys):
     monkeypatch.setattr(owalk.transfer, "find_switching_automorphisms", tight)
     for command in ("autos", "mst"):
         assert main([command, "mst8"]) == 2
-        assert capsys.readouterr().err.startswith("error: SearchBudgetExceededError:")
+        err = capsys.readouterr().err
+        assert err == "error: SearchBudgetExceededError: automorphism search exceeded 5 nodes\n"
+
+
+@pytest.mark.parametrize("n, order", [(10, 3_715_891_200), (14, 1_428_329_123_020_800)])
+def test_group_too_large_to_list_exits_2(n, order, tmp_path, capsys):
+    # n isolated vertices: the group's order 2^n n! is refused before listing
+    path = tmp_path / f"empty{n}.og"
+    path.write_text(f"n {n}\n")
+    for command in ("autos", "mst"):
+        assert main([command, str(path)]) == 2
+        assert capsys.readouterr().err == (
+            "error: SearchBudgetExceededError: automorphism group of order"
+            f" {order} is too large to list in 100000000 nodes\n"
+        )
 
 
 def test_every_error_has_one_exit_code():
