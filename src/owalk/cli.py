@@ -119,16 +119,14 @@ def _sigma_multiple(t: float, sigma: float) -> Fraction | None:
             return Fraction(p, q) if p > 0 else None
 
 
-def _sigma_note(frac: Fraction | None, sigma: float) -> tuple[str, str | None]:
-    """Human note and JSON tag relating a time, frac*sigma, to the period sigma."""
-    if frac is None:
-        note = (
+def _sigma_note(tag: str | None, sigma: float) -> str:
+    """Human note relating a time, tag*sigma, to the period sigma."""
+    if tag is None:
+        return (
             f"not a rational multiple of sigma = {sigma!r} "
             f"(denominators up to 10^{round(math.log10(RATIONAL_DENOMINATOR_LIMIT))} fail)"
         )
-        return note, None
-    tag = f"{frac.numerator}/{frac.denominator}"
-    return f"= ({tag})*sigma, sigma = {sigma!r}", tag
+    return f"= ({tag})*sigma, sigma = {sigma!r}"
 
 
 def _poly_str(p: IntPolynomial) -> str:
@@ -310,10 +308,8 @@ def _cmd_pst(args, g, report, lines) -> bool:
     sigma, why = _sigma_of(sd, args.a) if certs else (None, "")
     entries = []
     for cert in certs:
-        if sigma is None:
-            note, tag = why, None
-        else:
-            note, tag = _sigma_note(_sigma_multiple(cert.time, sigma), sigma)
+        frac = None if sigma is None else _sigma_multiple(cert.time, sigma)
+        tag = None if frac is None else f"{frac.numerator}/{frac.denominator}"
         entries.append(
             {
                 "source": cert.source,
@@ -326,12 +322,14 @@ def _cmd_pst(args, g, report, lines) -> bool:
                 "sigma_multiple": tag,
             }
         )
-        lines.append(
-            f"PST {cert.source} -> {cert.target} at t = {float(cert.time)!r} "
-            f"(phase {cert.phase:+d}, residual {cert.residual:.2e}, {cert.method})"
-        )
-        lines.append(f"  t {note}")
     report["transfers"] = entries
+    if not args.json:
+        for e in entries:
+            lines.append(
+                f"PST {e['source']} -> {e['target']} at t = {e['time']!r} "
+                f"(phase {e['phase']:+d}, residual {e['residual']:.2e}, {e['method']})"
+            )
+            lines.append(f"  t {why if sigma is None else _sigma_note(e['sigma_multiple'], sigma)}")
     if not certs:
         if args.time is not None:
             lines.append(
@@ -393,13 +391,14 @@ def _cmd_mst(args, g, report, lines) -> bool:
             f"  automorphism perm={list(cert.automorphism.perm)} "
             f"signs={list(cert.automorphism.signs)}"
         )
-        for row in pairs:
-            frac = Fraction(row["steps"], k)
-            lines.append(
-                f"  {row['source']} -> {row['target']}  "
-                f"t = {row['time']!r} = ({frac})*sigma  "
-                f"phase {row['phase']:+d}  residual {row['residual']:.2e}"
-            )
+        if not args.json:
+            for row in pairs:
+                frac = Fraction(row["steps"], k)
+                lines.append(
+                    f"  {row['source']} -> {row['target']}  "
+                    f"t = {row['time']!r} = ({frac})*sigma  "
+                    f"phase {row['phase']:+d}  residual {row['residual']:.2e}"
+                )
     report["mst"] = section
     if not certs:
         lines.append("no multiple state transfer orbit found")
@@ -412,8 +411,9 @@ def _cmd_autos(args, g, report, lines) -> bool:
     entries = [{"perm": list(p.perm), "signs": list(p.signs), "order": p.order} for p in autos]
     report["automorphisms"] = entries
     lines.append(f"found {len(autos)} switching automorphisms")
-    for e in entries:
-        lines.append(f"  perm={e['perm']} signs={e['signs']} order={e['order']}")
+    if not args.json:
+        for e in entries:
+            lines.append(f"  perm={e['perm']} signs={e['signs']} order={e['order']}")
     return bool(autos)
 
 

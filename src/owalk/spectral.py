@@ -118,10 +118,10 @@ def decompose(g: OrientedGraph) -> SpectralDecomposition:
     )
 
 
-def propagator_column(sd: SpectralDecomposition, a: int, t: float) -> np.ndarray:
-    """Column a of U(t), i.e. the state reached from vertex ``a``, complex."""
+def propagator_column(sd: SpectralDecomposition, a: int, t: float | np.ndarray) -> np.ndarray:
+    """Column a of U(t), the state reached from vertex ``a``, complex; n x K for K x 1 times."""
     # row b of the C-ordered n x R product is E_r[b, a]; this layout fixes the
     # rounding of the reported probabilities (others differ in the last bits)
     v = sd.vectors
     coeffs = np.add.reduceat(v * v[a].conj(), sd.starts, axis=1)
-    return coeffs @ np.exp(-1j * t * sd.eigenvalues)
+    return coeffs @ np.exp(-1j * t * sd.eigenvalues).T

@@ -62,6 +62,7 @@ __all__ = [
 
 DEFAULT_SCAN_TMAX = 20.0
 MAX_SCAN_CANDIDATES = 200_000
+SCAN_BLOCK = 1024  # candidate times per array pass of scan_pst
 DEFAULT_PST_TOL = 1e-7
 DEFAULT_PARITY_TOL = 1e-6
 REALNESS_TOL = 1e-8
@@ -109,23 +110,36 @@ def verify_pst(
     general unimodular number, and NonRealResultError is raised otherwise);
     the better of the two signs is kept when its residual beats ``tol``.
     """
-    col = propagator_column(sd, a, tau)
-    worst = float(abs(col.imag).max())
-    if not worst < REALNESS_TOL:
-        raise NonRealResultError(
-            f"propagator column at t = {tau!r} carries imaginary parts up to {worst:.3e}"
-        )
-    target = np.zeros(sd.n)
-    target[b] = 1.0
-    real_col = col.real
-    res_plus = float(np.linalg.norm(real_col - target))
-    res_minus = float(np.linalg.norm(real_col + target))
-    phase, residual = (1, res_plus) if res_plus <= res_minus else (-1, res_minus)
-    if residual >= tol:
-        return None
-    return TransferCertificate(
-        source=a, target=b, time=tau, phase=phase, residual=residual, method=method
-    )
+    return next(iter(_verify_times(sd, a, b, [tau], tol, method, [])), None)
+
+
+def _verify_times(
+    sd: SpectralDecomposition, a: int, b: int, times: list, tol: float, method: str,
+    certificates: list,
+) -> list[TransferCertificate]:
+    """Append the transfers a -> b verified at ``times`` to ``certificates``; return it.
+
+    One n x K product gives the columns U(t) e_a of all K times.  A time within
+    1e-8 of the last certificate is the same event and is skipped unchecked; a
+    checked column that is not real raises NonRealResultError.
+    """
+    cols = propagator_column(sd, a, np.array(times)[:, None])
+    diffs = cols.real.T[:, None].repeat(2, axis=1)  # U(t) e_a -+ e_b, one pair per time
+    diffs[:, 0, b] -= 1.0
+    diffs[:, 1, b] += 1.0
+    # (K, 2, 1, n) @ (K, 2, n, 1) takes one BLAS dot per row, as np.linalg.norm does
+    norms = np.sqrt(diffs[:, :, None] @ diffs[..., None]).reshape(-1, 2).tolist()
+    for tau, imag, (rp, rm) in zip(times, abs(cols.imag).max(axis=0).tolist(), norms):
+        if certificates and abs(tau - certificates[-1].time) < 1e-8:
+            continue
+        if not imag < REALNESS_TOL:
+            raise NonRealResultError(
+                f"propagator column at t = {tau!r} carries imaginary parts up to {imag:.3e}"
+            )
+        phase, residual = (1, rp) if rp <= rm else (-1, rm)
+        if residual < tol:
+            certificates.append(TransferCertificate(a, b, tau, phase, residual, method))
+    return certificates
 
 
 def first_char_check(
@@ -143,53 +157,41 @@ def first_char_check(
     """
     if cospec is None:
         return None
-    values = [
-        cospec.quarrels[r] - tau * float(sd.eigenvalues[r]) / math.pi
-        for r in cospec.support
-    ]
-    parity = _parity_of(values)
-    if parity is None:
-        return None
-    return "odd" if parity else "even"
+    q = np.array([cospec.quarrels[r] for r in cospec.support])
+    parity = _parity_of((q - tau * sd.eigenvalues[list(cospec.support)] / math.pi)[None])[0]
+    return None if parity < 0 else ("odd" if parity else "even")
 
 
-def _parity_of(values: list[float]) -> int | None:
-    """Common parity of near-integer values: 0 even, 1 odd, None otherwise."""
-    parity: int | None = None
-    for v in values:
-        k = round(v)
-        if abs(v - k) > DEFAULT_PARITY_TOL:
-            return None
-        if parity is None:
-            parity = k % 2
-        elif parity != k % 2:
-            return None
-    return parity
+def _parity_of(values: np.ndarray) -> np.ndarray:
+    """Common parity of each row of near-integer values: 0 even, 1 odd, -1 none."""
+    k = np.rint(values)
+    parity = k % 2
+    common = ((abs(values - k) <= DEFAULT_PARITY_TOL) & (parity == parity[:, :1])).all(axis=1)
+    return np.where(common, parity[:, 0], -1.0).astype(int)
 
 
-def _refine_peak(coeffs: np.ndarray, y: np.ndarray, t: float) -> float:
-    """Newton iterations on the derivative of |amplitude|^2, started at ``t``.
+def _refine_peak(coeffs: np.ndarray, y: np.ndarray, t: np.ndarray) -> np.ndarray:
+    """Newton iterations on the derivative of |amplitude|^2, from each start time.
 
     ``coeffs`` are E_r[b, a] over r, so the amplitude is
-    sum_r exp(-i*t*y_r) * coeffs[r]; the candidate time moves onto the
-    nearby maximum of |amplitude| to near machine precision.
+    sum_r exp(-i*t*y_r) * coeffs[r]; each time moves onto the nearby
+    maximum of |amplitude| to near machine precision, and stops on its own.
     """
-    dcoeffs = -1j * y * coeffs
-    ddcoeffs = -(y**2) * coeffs
+    # (K, 1, R) @ (R, 1) takes one BLAS dot per row, rounded alike alone or in a block
+    sums = [c[:, None] for c in (coeffs, -1j * y * coeffs, -(y**2) * coeffs)]
+    t, rows = np.array(t, dtype=float), np.arange(len(t))
     for _ in range(8):
-        ph = np.exp(-1j * t * y)
-        amp = ph @ coeffs
-        damp = ph @ dcoeffs
-        ddamp = ph @ ddcoeffs
+        ph = np.exp(-1j * t[rows, None] * y)[:, None]
+        amp, damp, ddamp = ((ph @ c)[:, 0, 0] for c in sums)
         grad = 2.0 * (damp * amp.conjugate()).real
         curv = 2.0 * (abs(damp) ** 2 + (ddamp * amp.conjugate()).real)
-        if curv >= 0.0:
+        moving = ~(curv >= 0.0)  # the negation of the stop rule, as for one row
+        rows, step = rows[moving], grad[moving] / curv[moving]
+        t[rows] -= step
+        rows = rows[~(abs(step) < 1e-14 * np.maximum(1.0, abs(t[rows])))]
+        if not rows.size:
             break
-        step = grad / curv
-        t -= step
-        if abs(step) < 1e-14 * max(1.0, abs(t)):
-            break
-    return float(t)
+    return t
 
 
 def scan_pst(
@@ -205,11 +207,11 @@ def scan_pst(
     Transfer needs a strongly cospectral pair.  On the support index r0
     of least nonzero |y|, v_r0 = q_r0 - t*y_r0/pi must be an integer, so
     the only candidate times are t*|y_r0|/pi = offset + j for integers
-    j >= 0; ``first_char_check`` keeps those where every v_r shares one
-    parity, and each one is polished by Newton and verified with
-    ``verify_pst``.  ``grid`` caps the number of candidate times: a
-    longer scan raises InputError instead of being cut short.
-    Certificates are sorted by time.
+    j >= 0.  In blocks of SCAN_BLOCK, the parity test of ``first_char_check``
+    keeps those where every v_r shares one parity, Newton polishes them,
+    and ``verify_pst``'s criteria verify the polished times.  ``grid`` caps
+    the number of candidate times: a longer scan raises InputError instead
+    of being cut short.  Certificates are sorted by time.
     """
     cospec = strong_cospectrality(sd, a, b, tol=tol)
     if cospec is None:
@@ -233,17 +235,15 @@ def scan_pst(
             f"more than the bound of {grid}"
         )
     coeffs = sd.pair_coeffs(a, b)
+    q, ys = np.array([cospec.quarrels[r] for r in cospec.support]), y[list(cospec.support)]
+    count = math.floor(span) + 1
     certificates: list[TransferCertificate] = []
-    for j in range(math.floor(span) + 1):
-        tau = math.pi * (offset + j) / y0
-        if first_char_check(cospec, sd, tau) is None:
-            continue
-        t_star = _refine_peak(coeffs, y, tau)
-        if certificates and abs(t_star - certificates[-1].time) < 1e-8:
-            continue
-        cert = verify_pst(sd, a, b, t_star, tol, method="scan")
-        if cert is not None:
-            certificates.append(cert)
+    for start in range(0, count, SCAN_BLOCK):
+        taus = math.pi * (offset + np.arange(start, min(start + SCAN_BLOCK, count))) / y0
+        kept = taus[_parity_of(q - taus[:, None] * ys / math.pi) >= 0]
+        if kept.size:
+            polished = _refine_peak(coeffs, y, kept).tolist()
+            _verify_times(sd, a, b, polished, tol, "scan", certificates)
     return certificates
 
 
@@ -284,14 +284,13 @@ def complete_char(
         0.0 if y[r] == 0.0 else c * math.copysign(period.b_coeffs[r], y[r]) / (period.g * k)
         for r in cospec.support
     ]
-    for m in range(1, k):
-        if math.gcd(m, k) == 1:
-            terms = [m * cospec.quarrels[r] - v for r, v in zip(cospec.support, v_terms)]
-            parity = _parity_of(terms)
-            if parity is not None:
-                break
-    else:
+    ms = [m for m in range(1, k) if math.gcd(m, k) == 1]
+    q = [cospec.quarrels[r] for r in cospec.support]
+    parities = _parity_of(np.multiply.outer(ms, q) - v_terms).tolist()
+    passing = [(m, parity) for m, parity in zip(ms, parities) if parity >= 0]
+    if not passing:
         return None
+    m, parity = passing[0]
     sign = p.signs[orb[1]] ** m * math.prod(p.signs[w] for w in orb[1 : m + 1])
     expected_phase = (-1 if parity else 1) * sign
     tau = period.sigma / k

@@ -14,11 +14,14 @@ from owalk import (
     is_connected,
     is_switching_automorphism,
 )
-from owalk import __version__
+from owalk import __version__, first_char_check, strong_cospectrality, verify_pst
+from owalk import transfer
 from owalk.graph import BUILTIN_NAMES, _components
-from owalk.transfer import DEFAULT_PST_TOL
+from owalk.transfer import DEFAULT_PARITY_TOL, DEFAULT_PST_TOL, MAX_SCAN_CANDIDATES
 from owalk.errors import (
+    DisconnectedGraphError,
     InconsistentExactCheckError,
+    InputError,
     SearchBudgetExceededError,
     VerificationFailedError,
 )
@@ -201,6 +204,46 @@ def grid_scan(sd, a, b, t_max, points=8192):
             continue
         events.append((float(t), 1 if value.real > 0 else -1))
     return events
+
+
+def scalar_scan_pst(sd, a, b, t_max, grid=MAX_SCAN_CANDIDATES, tol=DEFAULT_PST_TOL):
+    """PST events a -> b in (0, t_max] from the transfer condition, one candidate at a time.
+
+    A test oracle for owalk's block scan: the same candidate times
+    pi*(offset + j)/|y_r0|, each tested by ``first_char_check``, polished
+    alone by ``transfer._refine_peak`` and verified by ``verify_pst``, with
+    the same skip of a time within 1e-8 of the last certificate and the
+    same refusal of more than ``grid`` candidates.
+    """
+    cospec = strong_cospectrality(sd, a, b, tol=tol)
+    if cospec is None:
+        return []
+    y = sd.eigenvalues
+    nonzero = [r for r in cospec.support if y[r] != 0.0]
+    if not nonzero:
+        raise DisconnectedGraphError(f"vertex {a} is isolated")
+    r0 = min(nonzero, key=lambda r: abs(y[r]))
+    y0 = abs(float(y[r0]))
+    q0 = cospec.quarrels[r0]
+    offset = (q0 if y[r0] > 0 else -q0) % 1.0
+    if offset < DEFAULT_PARITY_TOL:
+        offset += 1.0
+    span = t_max * y0 / math.pi - offset
+    if not span < grid:
+        raise InputError(f"about {span:.3g} candidate times, more than {grid}")
+    coeffs = sd.pair_coeffs(a, b)
+    certificates = []
+    for j in range(math.floor(span) + 1):
+        tau = math.pi * (offset + j) / y0
+        if first_char_check(cospec, sd, tau) is None:
+            continue
+        t_star = float(transfer._refine_peak(coeffs, y, np.array([tau]))[0])
+        if certificates and abs(t_star - certificates[-1].time) < 1e-8:
+            continue
+        cert = verify_pst(sd, a, b, t_star, tol, method="scan")
+        if cert is not None:
+            certificates.append(cert)
+    return certificates
 
 
 def transition_matrix(sd, t):

@@ -25,7 +25,7 @@ from owalk.cospectral import default_support_threshold
 from owalk.errors import AmbiguousGroupingError, NonRealResultError
 from owalk.spectral import cluster_values, propagator_column
 
-from conftest import k3_power, random_oriented_graph, transition_matrix
+from conftest import k3_power, random_oriented_graph, scalar_scan_pst, transition_matrix
 
 
 def test_k3_eigenvalues_frozen(k3_sd):
@@ -242,6 +242,12 @@ def test_non_real_result_guard(k3_sd, monkeypatch):
     monkeypatch.setattr(owalk.transfer, "REALNESS_TOL", 1e-30)
     with pytest.raises(NonRealResultError):
         verify_pst(k3_sd, 0, 1, 0.5)
+    # the block scan raises at the time the one-at-a-time scan raises at
+    with pytest.raises(NonRealResultError) as scalar:
+        scalar_scan_pst(k3_sd, 0, 1, t_max=20.0)
+    with pytest.raises(NonRealResultError) as block:
+        scan_pst(k3_sd, 0, 1, t_max=20.0)
+    assert str(block.value).split(" carries")[0] == str(scalar.value).split(" carries")[0]
 
 
 def test_zero_cluster_snap(rng):

@@ -1,5 +1,6 @@
 import math
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -23,7 +24,13 @@ from owalk import (
 )
 from owalk.errors import DisconnectedGraphError, InputError
 
-from conftest import grid_scan, k3_power, paley_tournament, random_oriented_graph
+from conftest import (
+    grid_scan,
+    k3_power,
+    paley_tournament,
+    random_oriented_graph,
+    scalar_scan_pst,
+)
 
 K3_TAU = 2 * math.pi / (3 * math.sqrt(3))
 IRR5_TAU = (math.pi + math.acos(3.0 / 4.0)) / math.sqrt(7)
@@ -90,14 +97,19 @@ def _cycle(n):
     return build_graph(n, [(i, (i + 1) % n) for i in range(n)])
 
 
-def test_scan_matches_grid_oracle(rng):
-    # the solved candidate times and an independent fidelity grid must
-    # report the same events, on every ordered pair, with the same phases
+def _scan_graphs(rng):
+    """The builtins, C4, C8, k3 x k3 and 24 seeded random graphs."""
     graphs = [builtin_example(name) for name in ("k3", "irrational5", "mst8")]
     graphs += [_cycle(4), _cycle(8), k3_power(2)]
     graphs += [random_oriented_graph(rng, int(rng.integers(2, 13))) for _ in range(24)]
+    return graphs
+
+
+def test_scan_matches_grid_oracle(rng):
+    # the solved candidate times and an independent fidelity grid must
+    # report the same events, on every ordered pair, with the same phases
     events = 0
-    for g in graphs:
+    for g in _scan_graphs(rng):
         sd = decompose(g)
         for a in range(g.n):
             for b in range(g.n):
@@ -110,6 +122,100 @@ def test_scan_matches_grid_oracle(rng):
                     assert abs(t - s) < 1e-9 and phase == oracle_phase, (g.edges, a, b)
                 events += len(solved)
     assert events > 100
+
+
+def _scan_or_error(scan, sd, a, b, t_max):
+    try:
+        return scan(sd, a, b, t_max=t_max)
+    except Exception as exc:  # both scans must fail alike
+        return type(exc)
+
+
+def test_block_scan_matches_scalar_oracle(rng, k3_sd, irrational5_sd, mst8_sd, monkeypatch):
+    # candidates taken in blocks give the certificates of the scan that tests,
+    # polishes and verifies one candidate at a time: the same times to the
+    # last bit, phases and methods, and residuals within 1e-15; and Newton
+    # polishes the same candidates to the same times, kept or not
+    real = owalk.transfer._refine_peak
+    polished = []
+
+    def recording(coeffs, y, t):
+        out = real(coeffs, y, t)
+        polished.extend(zip(t.tolist(), out.tolist()))
+        return out
+
+    monkeypatch.setattr(owalk.transfer, "_refine_peak", recording)
+    cases = [
+        (decompose(g), a, b, 10.0)
+        for g in _scan_graphs(rng)
+        for a in range(g.n)
+        for b in range(g.n)
+        if a != b
+    ]
+    cases += [(k3_sd, 0, 1, 20000.0), (irrational5_sd, 3, 4, 200.0)]
+    cases += [(mst8_sd, 0, b, 400.0) for b in range(1, 8)]
+    events = candidates = 0
+    for sd, a, b, t_max in cases:
+        got = _scan_or_error(scan_pst, sd, a, b, t_max)
+        block, polished[:] = polished[:], []
+        want = _scan_or_error(scalar_scan_pst, sd, a, b, t_max)
+        scalar, polished[:] = polished[:], []
+        where = (sd.graph.edges, a, b, t_max)
+        assert block == scalar, where
+        if isinstance(want, type):
+            assert got is want, where
+            continue
+        assert [(c.time, c.phase, c.method) for c in got] == [
+            (c.time, c.phase, c.method) for c in want
+        ], where
+        assert all(abs(c.residual - d.residual) <= 1e-15 for c, d in zip(got, want)), where
+        events += len(got)
+        candidates += len(block)
+    assert events > 5513 + 84 + 3 * 127 and candidates >= events
+    # every scanned candidate converges in the same number of Newton steps;
+    # starts that need different numbers polish in one block as they do alone
+    coeffs, y = irrational5_sd.pair_coeffs(3, 4), irrational5_sd.eigenvalues
+    starts = IRR5_TAU + np.array([0.0, 1e-9, -1e-6, 1e-4, -1e-2, 3e-2])
+    alone = [real(coeffs, y, starts[i : i + 1])[0] for i in range(len(starts))]
+    assert real(coeffs, y, starts).tolist() == alone
+
+
+def _reversed(g):
+    return build_graph(g.n, [(v, u) for u, v in g.edges])
+
+
+def test_reversal_transposes_transfer(rng):
+    # reversing every edge gives A' = -A, so U'(t) = U(t)^T: PST a -> b at
+    # tau holds exactly when PST b -> a holds at tau on the reversed graph,
+    # with the same phase
+    events = 0
+    for g in _scan_graphs(rng):
+        sd, rev = decompose(g), decompose(_reversed(g))
+        for a in range(g.n):
+            for b in range(g.n):
+                if a == b:
+                    continue
+                forward = scan_pst(sd, a, b, t_max=10.0)
+                backward = scan_pst(rev, b, a, t_max=10.0)
+                assert len(forward) == len(backward), (g.edges, a, b)
+                for f, r in zip(forward, backward):
+                    assert abs(f.time - r.time) < 1e-9 and f.phase == r.phase, (g.edges, a, b)
+                events += len(forward)
+    assert events > 100
+
+
+def test_scan_memory_is_bounded_by_a_block(k3_sd):
+    # about 199 000 candidate times, just under the bound: beyond the
+    # certificates it returns, the scan holds one block of candidates at a time
+    t_max = 199_000 * math.pi / math.sqrt(3)
+    tracemalloc.start()
+    try:
+        certs = scan_pst(k3_sd, 0, 1, t_max=t_max)
+        held, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(certs) > 99_000
+    assert peak - held < 2 * 2**20, (peak, held)
 
 
 def test_scan_long_horizon_k3(k3_sd):
