@@ -1,12 +1,13 @@
 """Exact integer arithmetic backing the periodicity test.
 
-det(xI - A) is computed modulo primes below 2^26 in int64 numpy, by Hessenberg
-reduction and the Hessenberg recurrence (Cohen, A Course in Computational
-Algebraic Number Theory, 2.2), lifted by CRT past the Hadamard bound on its
-coefficients, and checked for the shape of a skew-symmetric characteristic
-polynomial.  Squared eigenvalue magnitudes of a skew-symmetric integer matrix
-are algebraic integers; recognizing them as b^2 * Delta with Delta square-free
-is what decides periodicity.
+det(xI - A) is computed modulo primes p with (n + 1)(p - 1)^2 < 2^63, by
+Hessenberg reduction and the Hessenberg recurrence (Cohen, A Course in
+Computational Algebraic Number Theory, 2.2) in int64 numpy, where each matrix
+product is exact and reduced once.  The residues are lifted by CRT past an
+edge-count bound on the coefficients and checked for the shape of a
+skew-symmetric characteristic polynomial.  Squared eigenvalue magnitudes of a
+skew-symmetric integer matrix are algebraic integers; recognizing them as
+b^2 * Delta with Delta square-free is what decides periodicity.
 """
 
 from __future__ import annotations
@@ -63,11 +64,14 @@ class IntPolynomial:
         return m, IntPolynomial(coeffs[m:])
 
 
-def _primes():
-    """Primes below 2^26, largest first (Miller-Rabin with bases 2, 3, 5, 7 is exact there)."""
-    for m in range(2**26 - 1, 1, -2):
+def _primes(ceiling: int):
+    """Primes in (47, ``ceiling``), largest first, for ``ceiling`` <= 3.2e9.
+
+    A gcd with 3 * 5 * ... * 47 drops most composites at once; Miller-Rabin
+    with bases 2, 3, 5, 7 is exact on the rest."""
+    for m in range((ceiling - 2) | 1, 1, -2):
         s = ((m - 1) & (1 - m)).bit_length() - 1  # m - 1 = d * 2^s with d odd
-        if all(
+        if math.gcd(m, 307444891294245705) == 1 and all(
             pow(a, (m - 1) >> s, m) == 1
             or any(pow(a, (m - 1) >> r, m) == m - 1 for r in range(1, s + 1))
             for a in (2, 3, 5, 7)
@@ -76,7 +80,7 @@ def _primes():
 
 
 def _char_poly_mod(a: np.ndarray, p: int) -> np.ndarray:
-    """det(xI - A) mod a prime p < 2^26, lowest degree first.
+    """det(xI - A) mod a prime p with (n + 1)(p - 1)^2 < 2^63, lowest degree first.
 
     A goes to upper Hessenberg form H by similarity; p_m = det(xI - H[:m, :m]) is
     x p_{m-1} - sum_i c_i p_{i-1} with c_i = H[i-1, m-1] H[i, i-1] ... H[m-1, m-2]."""
@@ -91,29 +95,36 @@ def _char_poly_mod(a: np.ndarray, p: int) -> np.ndarray:
             h[:, [i, j + 1]] = h[:, [j + 1, i]]
         u = h[j + 2 :, j] * pow(int(h[j + 1, j]), -1, p) % p
         h[j + 2 :, j:] = (h[j + 2 :, j:] - np.outer(u, h[j + 1, j:])) % p
-        h[:, j + 1] = (h[:, j + 1] + (h[:, j + 2 :] * u % p).sum(axis=1)) % p
+        h[:, j + 1] = (h[:, j + 1] + h[:, j + 2 :] @ u) % p
     polys = np.eye(n + 1, dtype=np.int64)  # row m: p_m, monic of degree m
     t = np.ones(n, dtype=np.int64)
     for m in range(1, n + 1):
         t[: m - 1] = t[: m - 1] * h[m - 1, m - 2] % p  # empty for m = 1
         c = t[:m] * h[:m, m - 1] % p
         polys[m, 1 : m + 1] = polys[m - 1, :m]
-        polys[m, :m] = (polys[m, :m] - (c[:, None] * polys[:m, :m] % p).sum(axis=0)) % p
+        polys[m, :m] = (polys[m, :m] - c @ polys[:m, :m]) % p
     return polys[n]
+
+
+def _coefficient_bound(g: OrientedGraph) -> int:
+    """max_k C(P, k) * ceil(|E|^k / P^k), P = n // 2: no coefficient of det(xI - A) is larger."""
+    half = g.n // 2
+    return max(math.comb(half, k) * -(-(len(g.edges) ** k) // half**k) for k in range(half + 1))
 
 
 def char_poly(g: OrientedGraph) -> IntPolynomial:
     """Characteristic polynomial det(xI - A) with exact integer coefficients.
 
-    The coefficient of x^(n-k) sums C(n, k) principal k x k minors, each at most
-    k^(k/2) (Hadamard).  Residues mod primes below 2^26 are combined by CRT until
-    the modulus exceeds twice that bound, so the symmetric lift is exact.  A result
-    not of the shape x^m * prod(x^2 + y_r^2) (monic of degree n, zero at odd
-    offsets from x^m, nonnegative elsewhere) raises InconsistentExactCheckError.
+    It is x^m * prod(x^2 + z_r) over at most P = n // 2 numbers z_r >= 0 with
+    sum z_r = sum A_ij^2 / 2 = |E|, so by Maclaurin's inequality the coefficient
+    e_k(z) is at most C(P, k) * (|E| / P)^k.  Residues mod primes p with
+    (n + 1)(p - 1)^2 < 2^63 are combined by CRT until the modulus exceeds twice
+    that bound, so the symmetric lift is exact.  A result not of that shape
+    (monic of degree n, zero at odd offsets from x^m, nonnegative elsewhere)
+    raises InconsistentExactCheckError.
     """
-    n = g.n
-    bound = max(math.comb(n, k) * (math.isqrt(k**k - 1) + 1) for k in range(n + 1))
-    coeffs, modulus, primes = [0] * (n + 1), 1, _primes()
+    n, bound = g.n, _coefficient_bound(g)
+    coeffs, modulus, primes = [0] * (n + 1), 1, _primes(math.isqrt((2**63 - 1) // (n + 1)))
     while modulus <= 2 * bound:
         p = next(primes)
         step, residues = pow(modulus, -1, p), _char_poly_mod(g.adjacency, p).tolist()

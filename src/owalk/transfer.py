@@ -6,7 +6,9 @@ strongly cospectral; on their eigenvalue support it is then
 e^{-i*tau*y_r} * alpha_r = phase for every r, so with quarrels
 alpha_r = e^{i*pi*q_r} the transfer condition becomes a parity
 statement: the numbers q_r - tau*y_r/pi must all be even integers
-(phase +1) or all odd integers (phase -1).
+(phase +1) or all odd integers (phase -1).  A is real, so the class of
+-y_r carries the quarrel -q_r and the number -(q_r - tau*y_r/pi), of the
+same parity: the test reads only the classes with y_r >= 0.
 
 The scan solves this condition directly, without sampling |U(t)[b, a]|:
 one support index fixes a discrete set of candidate times, the parity
@@ -149,16 +151,17 @@ def first_char_check(
 ) -> str | None:
     """Parity test for PST at ``tau`` between a strongly cospectral pair.
 
-    Evaluates v_r = q_r - tau*y_r/pi over the support; returns "even" or
-    "odd" when every v_r is within DEFAULT_PARITY_TOL of an integer and
-    the parities agree, else None.  PST at tau is equivalent to a uniform
-    parity, with phase +1 for even and -1 for odd.  A pair that is not
-    strongly cospectral (``cospec`` None) has no transfer at any time.
+    Evaluates v_r = q_r - tau*y_r/pi over the support classes with y_r >= 0;
+    returns "even" or "odd" when every v_r is within DEFAULT_PARITY_TOL of
+    an integer and the parities agree, else None.  PST at tau is equivalent
+    to a uniform parity, with phase +1 for even and -1 for odd.  A pair that
+    is not strongly cospectral (``cospec`` None) has no transfer at any time.
     """
     if cospec is None:
         return None
-    q = np.array([cospec.quarrels[r] for r in cospec.support])
-    parity = _parity_of((q - tau * sd.eigenvalues[list(cospec.support)] / math.pi)[None])[0]
+    half = [r for r in cospec.support if sd.eigenvalues[r] >= 0.0]
+    q = np.array([cospec.quarrels[r] for r in half])
+    parity = _parity_of((q - tau * sd.eigenvalues[half] / math.pi)[None])[0]
     return None if parity < 0 else ("odd" if parity else "even")
 
 
@@ -235,7 +238,8 @@ def scan_pst(
             f"more than the bound of {grid}"
         )
     coeffs = sd.pair_coeffs(a, b)
-    q, ys = np.array([cospec.quarrels[r] for r in cospec.support]), y[list(cospec.support)]
+    half = [r for r in cospec.support if y[r] >= 0.0]
+    q, ys = np.array([cospec.quarrels[r] for r in half]), y[half]
     count = math.floor(span) + 1
     certificates: list[TransferCertificate] = []
     for start in range(0, count, SCAN_BLOCK):
@@ -261,15 +265,15 @@ def complete_char(
     orbit of length >= 2 raise ValueError.  Searches for m coprime to the
     orbit length k such that the numbers
 
-        m * q_r(a, p(a)) - c * sign(y_r) * b_r / (g * k)
+        m * q_r(a, p(a)) - c * b_r / (g * k)
 
-    share a parity over the support, where c is 1 for period phase -1 and
-    2 for phase +1 (the c-term is sigma*y_r/(k*pi) written exactly), and
-    returns None when no m does.  A passing m implies PST from a to
-    p^m(a) at sigma/k, with the phase of the parity times the sign factor
-    of p (module docstring); every ordered orbit pair is then verified
-    numerically, and any numeric failure after a parity pass raises
-    VerificationFailedError.
+    share a parity over the support classes with y_r >= 0 (b_r = 0 at
+    y_r = 0), where c is 1 for period phase -1 and 2 for phase +1 (the
+    c-term is sigma*y_r/(k*pi) written exactly), and returns None when no
+    m does.  A passing m implies PST from a to p^m(a) at sigma/k, with the
+    phase of the parity times the sign factor of p (module docstring);
+    every ordered orbit pair is then verified numerically, and any numeric
+    failure after a parity pass raises VerificationFailedError.
     """
     if cospec is None or period is None:
         return None
@@ -280,12 +284,10 @@ def complete_char(
         raise ValueError(f"certificates ({a}, {cospec.b}), {period.vertex} do not fit orbit {orb}")
     c = 1 if period.phase == -1 else 2
     y = sd.eigenvalues
-    v_terms = [
-        0.0 if y[r] == 0.0 else c * math.copysign(period.b_coeffs[r], y[r]) / (period.g * k)
-        for r in cospec.support
-    ]
+    half = [r for r in cospec.support if y[r] >= 0.0]
+    v_terms = [0.0 if y[r] == 0.0 else c * period.b_coeffs[r] / (period.g * k) for r in half]
     ms = [m for m in range(1, k) if math.gcd(m, k) == 1]
-    q = [cospec.quarrels[r] for r in cospec.support]
+    q = [cospec.quarrels[r] for r in half]
     parities = _parity_of(np.multiply.outer(ms, q) - v_terms).tolist()
     passing = [(m, parity) for m, parity in zip(ms, parities) if parity >= 0]
     if not passing:

@@ -115,10 +115,15 @@ def test_char_poly_matches_faddeev_leverrier():
         assert char_poly(g).coeffs == faddeev_leverrier(g).coeffs, g
 
 
+def paley_orders(top):
+    """Primes q = 3 mod 4 up to ``top``: the orders of the Paley tournaments."""
+    return [q for q in range(3, top + 1, 4) if all(q % d for d in range(2, q))]
+
+
 def test_char_poly_paley_closed_form():
-    # S^2 = J - qI and S J = 0 give det(xI - S) = x (x^2 + q)^((q-1)/2)
-    primes = [q for q in range(3, 84) if all(q % d for d in range(2, q))]
-    for q in (q for q in primes if q % 4 == 3):
+    # S^2 = J - qI and S J = 0 give det(xI - S) = x (x^2 + q)^((q-1)/2);
+    # q = 127 and 131 draw their primes below a lower ceiling than n = 64 does
+    for q in paley_orders(83) + [127, 131]:
         g = paley_tournament(q)
         h = (q - 1) // 2
         expected = [0] * (q + 1)
@@ -136,7 +141,7 @@ def test_char_poly_matches_sympy():
 
 
 def test_char_poly_structure_guard(tmp_path, monkeypatch):
-    # Paley 43 needs five primes; the third one's residue is off by one in
+    # Paley 43 needs four primes; the third one's residue is off by one in
     # the middle coefficient, at an odd offset from x^1, where the exact
     # coefficient is 0: the lift is no longer x^m times an even polynomial
     q, mid = 43, 22
@@ -155,13 +160,45 @@ def test_char_poly_structure_guard(tmp_path, monkeypatch):
     monkeypatch.setattr(owalk.arithmetic, "_char_poly_mod", off_by_one)
     with pytest.raises(InconsistentExactCheckError):
         char_poly(g)
-    assert len(calls) == 5
+    assert len(calls) == 4
     path = tmp_path / "paley43.og"
     path.write_text(serialize_graph(g))
     calls.clear()
     with redirect_stderr(io.StringIO()) as err:
         assert main(["spectrum", str(path)]) == 3
     assert "InconsistentExactCheckError" in err.getvalue()
+
+
+def test_edge_count_bound_covers_coefficients():
+    # Maclaurin: e_k(z) <= C(P, k) (|E|/P)^k with sum z_r = |E|, P = n // 2;
+    # it bounds every coefficient and is never above the Hadamard bound
+    # max_k C(n, k) k^(k/2) on principal minors
+    graphs = [
+        build_graph(n, [(i, j) for i in range(n) for j in range(i + 1, n)]) for n in range(41)
+    ]  # transitive tournaments
+    graphs += [paley_tournament(q) for q in paley_orders(83)]
+    for g in graphs:
+        bound = owalk.arithmetic._coefficient_bound(g)
+        hadamard = max(math.comb(g.n, k) * (math.isqrt(k**k - 1) + 1) for k in range(g.n + 1))
+        assert max(abs(c) for c in char_poly(g).coeffs) <= bound <= hadamard, g.n
+
+
+def test_char_poly_agrees_with_a_prime_outside_the_lift(monkeypatch):
+    # every prime drawn keeps (n + 1)(p - 1)^2 below 2^63, so the int64 products
+    # are exact; the lifted polynomial reduced mod the next prime, which took no
+    # part in the CRT, equals the residues computed mod that prime
+    g = random_oriented_graph(np.random.default_rng(128), 128)
+    real = owalk.arithmetic._char_poly_mod
+    used = []
+    monkeypatch.setattr(
+        owalk.arithmetic, "_char_poly_mod", lambda a, p: used.append(p) or real(a, p)
+    )
+    coeffs = char_poly(g).coeffs
+    assert all((g.n + 1) * (p - 1) ** 2 < 2**63 for p in used)
+    ceiling = math.isqrt((2**63 - 1) // (g.n + 1))
+    fresh = next(p for p in owalk.arithmetic._primes(ceiling) if p not in used)
+    assert all(sympy.isprime(p) for p in used + [fresh])
+    assert [c % fresh for c in coeffs] == real(g.adjacency, fresh).tolist()
 
 
 def test_int_polynomial_basics():
