@@ -421,16 +421,11 @@ def _cmd_evolve(args, g, report, lines) -> bool:
     _check_vertex(g, args.source, "source")
     sd = decompose(g)
     times = np.linspace(0.0, args.t_max, args.steps)
-    rows = []
-    for t in times:
-        col = propagator_column(sd, args.source, float(t))
-        probs = (col.conjugate() * col).real
-        total = float(probs.sum())
-        if abs(total - 1.0) > 1e-9:
-            raise VerificationFailedError(
-                f"probabilities at t = {float(t)!r} sum to {total!r}, not 1"
-            )
-        rows.append([float(t)] + [float(p) for p in probs])
+    cols = propagator_column(sd, args.source, times[:, None])
+    rows = np.column_stack([times, (cols.conjugate() * cols).real.T]).tolist()
+    for t, *probs in rows:
+        if abs((total := math.fsum(probs)) - 1.0) > 1e-9:
+            raise VerificationFailedError(f"probabilities at t = {t!r} sum to {total!r}, not 1")
     report["evolution"] = {
         "source": args.source,
         "t_max": float(args.t_max),

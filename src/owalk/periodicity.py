@@ -97,23 +97,19 @@ def is_periodic(
 
 
 def verify_period(sd: SpectralDecomposition, cert: PeriodicityCertificate) -> bool:
-    """Numerically confirm the certificate's period and its minimality.
+    """Numerically confirm the certificate's period, and that half of it is none.
 
-    Checks ||U(sigma) e_a - phase * e_a|| < tol with tol = 1e-7, and that
-    at 16 seeded random times inside (0, sigma) the walker is far
-    (> 10*tol) from both +e_a and -e_a, so no smaller period was missed.
+    One product gives U(t) e_a at sigma, at sigma/2 and at 16 seeded random
+    times in (0, sigma).  Checks ||U(sigma) e_a - phase * e_a|| < tol with
+    tol = 1e-7, and that at the other 17 times the walker is far (> 10*tol)
+    from both +e_a and -e_a.  So a doubled period fails; minimality beyond a
+    factor of 2 rests on the exact certificate.
     """
     a = cert.vertex
-    basis = np.zeros(sd.n)
-    basis[a] = 1.0
-    col = propagator_column(sd, a, cert.sigma)
-    if np.linalg.norm(col - cert.phase * basis) >= _PERIOD_TOL:
-        return False
     rng = np.random.default_rng(_SPOT_CHECK_SEED + a)
-    for t in rng.uniform(0.0, cert.sigma, size=_SPOT_CHECK_COUNT):
-        col = propagator_column(sd, a, float(t))
-        if np.linalg.norm(col - basis) <= 10 * _PERIOD_TOL:
-            return False
-        if np.linalg.norm(col + basis) <= 10 * _PERIOD_TOL:
-            return False
-    return True
+    times = [cert.sigma, cert.sigma / 2, *rng.uniform(0.0, cert.sigma, size=_SPOT_CHECK_COUNT)]
+    cols = propagator_column(sd, a, np.array(times)[:, None])
+    e_a = (np.arange(sd.n) == a)[:, None, None]
+    dist = np.linalg.norm(cols[:, :, None] - e_a * [1.0, -1.0], axis=0)  # from +e_a, -e_a
+    far = (dist[1:] > 10 * _PERIOD_TOL).all()
+    return bool(dist[0, (1 - cert.phase) // 2] < _PERIOD_TOL and far)

@@ -120,8 +120,8 @@ def decompose(g: OrientedGraph) -> SpectralDecomposition:
 
 def propagator_column(sd: SpectralDecomposition, a: int, t: float | np.ndarray) -> np.ndarray:
     """Column a of U(t), the state reached from vertex ``a``, complex; n x K for K x 1 times."""
-    # row b of the C-ordered n x R product is E_r[b, a]; this layout fixes the
-    # rounding of the reported probabilities (others differ in the last bits)
+    # row b of the C-ordered n x R matrix is E_r[b, a] and each time takes its own matrix-
+    # vector product; the reported bits, alike alone or in a batch, hinge on this layout
     v = sd.vectors
     coeffs = np.add.reduceat(v * v[a].conj(), sd.starts, axis=1)
-    return coeffs @ np.exp(-1j * t * sd.eigenvalues).T
+    return (coeffs @ np.exp(-1j * t * sd.eigenvalues)[..., None])[..., 0].T

@@ -37,7 +37,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import permutations
 
 import numpy as np
 
@@ -116,22 +115,25 @@ def verify_pst(
 
 
 def _verify_times(
-    sd: SpectralDecomposition, a: int, b: int, times: list, tol: float, method: str,
-    certificates: list,
+    sd: SpectralDecomposition, a: int, b: int | list[int], times: list, tol: float,
+    method: str, certificates: list,
 ) -> list[TransferCertificate]:
     """Append the transfers a -> b verified at ``times`` to ``certificates``; return it.
 
-    One n x K product gives the columns U(t) e_a of all K times.  A time within
-    1e-8 of the last certificate is the same event and is skipped unchecked; a
-    checked column that is not real raises NonRealResultError.
+    ``b`` is one target for every time or a list of one target per time.  One
+    product gives the columns U(t) e_a of all K times.  A time within 1e-8 of
+    the last certificate is the same event and is skipped unchecked; a checked
+    column that is not real raises NonRealResultError.
     """
     cols = propagator_column(sd, a, np.array(times)[:, None])
+    rows, targets = np.arange(len(times)), np.broadcast_to(b, len(times))
     diffs = cols.real.T[:, None].repeat(2, axis=1)  # U(t) e_a -+ e_b, one pair per time
-    diffs[:, 0, b] -= 1.0
-    diffs[:, 1, b] += 1.0
+    diffs[rows, 0, targets] -= 1.0
+    diffs[rows, 1, targets] += 1.0
     # (K, 2, 1, n) @ (K, 2, n, 1) takes one BLAS dot per row, as np.linalg.norm does
     norms = np.sqrt(diffs[:, :, None] @ diffs[..., None]).reshape(-1, 2).tolist()
-    for tau, imag, (rp, rm) in zip(times, abs(cols.imag).max(axis=0).tolist(), norms):
+    imags = abs(cols.imag).max(axis=0).tolist()
+    for tau, target, imag, (rp, rm) in zip(times, targets.tolist(), imags, norms):
         if certificates and abs(tau - certificates[-1].time) < 1e-8:
             continue
         if not imag < REALNESS_TOL:
@@ -140,7 +142,7 @@ def _verify_times(
             )
         phase, residual = (1, rp) if rp <= rm else (-1, rm)
         if residual < tol:
-            certificates.append(TransferCertificate(a, b, tau, phase, residual, method))
+            certificates.append(TransferCertificate(a, target, tau, phase, residual, method))
     return certificates
 
 
@@ -272,8 +274,9 @@ def complete_char(
     c-term is sigma*y_r/(k*pi) written exactly), and returns None when no
     m does.  A passing m implies PST from a to p^m(a) at sigma/k, with the
     phase of the parity times the sign factor of p (module docstring);
-    every ordered orbit pair is then verified numerically, and any numeric
-    failure after a parity pass raises VerificationFailedError.
+    every ordered orbit pair is then verified numerically, one product per
+    orbit source, and any numeric failure after a parity pass raises
+    VerificationFailedError.
     """
     if cospec is None or period is None:
         return None
@@ -298,15 +301,18 @@ def complete_char(
     tau = period.sigma / k
     m_inv = pow(m, -1, k)
     pairs: dict[tuple[int, int], TransferCertificate] = {}
-    for i, j in permutations(range(k), 2):
-        t_ij = ((j - i) * m_inv % k) * tau
-        cert = verify_pst(sd, orb[i], orb[j], t_ij, tol)
-        if cert is None:
-            raise VerificationFailedError(
-                f"parity passed at m={m} but orbit pair {orb[i]} -> {orb[j]} "
-                f"failed the numeric check at t = {t_ij}"
-            )
-        pairs[i, j] = cert
+    for i in range(k):
+        js = [j for j in range(k) if j != i]
+        times = [((j - i) * m_inv % k) * tau for j in js]
+        certs = _verify_times(sd, orb[i], [orb[j] for j in js], times, tol, "direct", [])
+        found = {cert.target: cert for cert in certs}
+        for j, t_ij in zip(js, times):
+            if orb[j] not in found:
+                raise VerificationFailedError(
+                    f"parity passed at m={m} but orbit pair {orb[i]} -> {orb[j]} "
+                    f"failed the numeric check at t = {t_ij}"
+                )
+            pairs[i, j] = found[orb[j]]
     if pairs[0, m].phase != expected_phase:
         raise VerificationFailedError(
             f"parity predicts phase {expected_phase} but the realized phase "

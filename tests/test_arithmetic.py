@@ -79,6 +79,8 @@ def test_char_poly_frozen_examples(k3, irrational5, p4_sd):
     assert char_poly(k3).coeffs == (0, 3, 0, 1)  # x^3 + 3x
     assert char_poly(irrational5).coeffs == (0, 0, 0, 7, 0, 1)  # x^5 + 7x^3
     assert char_poly(p4_sd.graph).coeffs == (1, 0, 3, 0, 1)  # x^4 + 3x^2 + 1
+    # x^2 (x^2 + 4)^2 (x^2 + 16)
+    assert char_poly(builtin_example("mst8")).coeffs == (0, 0, 256, 0, 144, 0, 24, 0, 1)
 
 
 def test_char_poly_against_cofactor_oracle(rng):
@@ -181,6 +183,17 @@ def test_edge_count_bound_covers_coefficients():
         bound = owalk.arithmetic._coefficient_bound(g)
         hadamard = max(math.comb(g.n, k) * (math.isqrt(k**k - 1) + 1) for k in range(g.n + 1))
         assert max(abs(c) for c in char_poly(g).coeffs) <= bound <= hadamard, g.n
+
+
+def test_primes_match_sympy():
+    # the first 20 primes below the ceilings of n = 3, 64 and 256, largest first
+    for n in (3, 64, 256):
+        ceiling = math.isqrt((2**63 - 1) // (n + 1))
+        want = [ceiling]
+        while len(want) <= 20:
+            want.append(sympy.prevprime(want[-1]))
+        got = owalk.arithmetic._primes(ceiling)
+        assert [next(got) for _ in range(20)] == want[1:], n
 
 
 def test_char_poly_agrees_with_a_prime_outside_the_lift(monkeypatch):

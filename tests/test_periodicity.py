@@ -75,6 +75,19 @@ def test_verify_period_rejects_wrong_sigma(k3_sd):
     assert not verify_period(k3_sd, replace(cert, sigma=cert.sigma / 2))
 
 
+def test_verify_period_rejects_a_doubled_period(k3_sd, irrational5_sd, mst8_sd, single_edge_sd):
+    # twice the period returns the walker as well, with phase +1; U(sigma/2) e_a
+    # is checked against +-e_a, so the doubled period fails with either phase
+    from dataclasses import replace
+
+    cases = [(k3_sd, 0), (mst8_sd, 0), (irrational5_sd, 0), (irrational5_sd, 3), (single_edge_sd, 0)]
+    for sd, v in cases:
+        cert = _cert(sd, v)
+        assert verify_period(sd, cert)
+        for phase in (1, -1):
+            assert not verify_period(sd, replace(cert, sigma=2 * cert.sigma, phase=phase))
+
+
 def test_period_phase_repeats(k3_sd, single_edge_sd, mst8_sd):
     # U(k sigma) e_a = phase^k e_a
     for sd in (k3_sd, single_edge_sd, mst8_sd):

@@ -1,0 +1,81 @@
+"""Switching and reversal relations on generated connected graphs (n <= 8).
+
+Switching by a diagonal sign matrix D gives A' = DAD, so U'(t) = D U(t) D:
+every vertex keeps its Delta, sigma and period phase, and PST a -> b keeps
+its times while its phase is multiplied by d_a * d_b.  Reversing every edge
+gives A' = -A, so U'(t) = U(t)^T: PST a -> b at tau holds exactly when the
+reversed graph has PST b -> a at tau, with the same phase.
+
+The graphs are relabeled builtins and a few small PST families, so that
+transfers occur, and random orientations of connected graphs.
+"""
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from owalk import build_graph, builtin_example, decompose, eigenvalue_support, is_periodic
+from owalk import scan_pst
+
+T_MAX = 8.0
+SETTINGS = settings(max_examples=100, deadline=None, derandomize=True, database=None)
+
+_TRANSFER_GRAPHS = [builtin_example(name) for name in ("k3", "irrational5", "mst8")]
+_TRANSFER_GRAPHS += [
+    build_graph(2, [(0, 1)]),  # PST 0 -> 1 at pi/2
+    build_graph(4, [(0, 1), (2, 1), (2, 3), (0, 3)]),  # alternating C4: PST 0 -> 2 at pi/2
+    build_graph(4, [(0, 1), (0, 2), (0, 3)]),  # star, periodic center
+]
+
+
+@st.composite
+def _random_connected(draw):
+    n = draw(st.integers(2, 8))
+    pairs = {(draw(st.integers(0, v - 1)), v) for v in range(1, n)}  # a spanning tree
+    pairs |= set(draw(st.lists(st.sampled_from([(u, v) for v in range(n) for u in range(v)]))))
+    flips = draw(st.lists(st.booleans(), min_size=len(pairs), max_size=len(pairs)))
+    return build_graph(n, [(v, u) if f else (u, v) for (u, v), f in zip(sorted(pairs), flips)])
+
+
+@st.composite
+def _relabeled(draw):
+    g = draw(st.sampled_from(_TRANSFER_GRAPHS))
+    perm = draw(st.permutations(range(g.n)))
+    return build_graph(g.n, [(perm[u], perm[v]) for u, v in g.edges])
+
+
+GRAPHS = st.one_of(_relabeled(), _random_connected())
+
+
+def _periods(sd):
+    certs = [is_periodic(sd, eigenvalue_support(sd, a)) for a in range(sd.n)]
+    return [None if c is None else (c.delta, c.sigma, c.phase) for c in certs]
+
+
+def _same_events(got, want, phase_factor=1):
+    assert len(got) == len(want), (got, want)
+    for g, w in zip(got, want):
+        assert abs(g.time - w.time) < 1e-9 and g.phase == w.phase * phase_factor, (g, w)
+
+
+@SETTINGS
+@given(g=GRAPHS, data=st.data())
+def test_switching_keeps_periods_and_transfer_times(g, data):
+    d = data.draw(st.lists(st.sampled_from((1, -1)), min_size=g.n, max_size=g.n))
+    switched = build_graph(g.n, [(u, v) if d[u] == d[v] else (v, u) for u, v in g.edges])
+    sd, sw = decompose(g), decompose(switched)
+    assert _periods(sd) == _periods(sw)
+    for a in range(g.n):
+        for b in range(g.n):
+            if a != b:
+                before, after = scan_pst(sd, a, b, T_MAX), scan_pst(sw, a, b, T_MAX)
+                _same_events(after, before, d[a] * d[b])
+
+
+@SETTINGS
+@given(g=GRAPHS)
+def test_reversal_swaps_source_and_target(g):
+    sd, rev = decompose(g), decompose(build_graph(g.n, [(v, u) for u, v in g.edges]))
+    for a in range(g.n):
+        for b in range(g.n):
+            if a != b:
+                _same_events(scan_pst(rev, b, a, T_MAX), scan_pst(sd, a, b, T_MAX))

@@ -8,16 +8,20 @@ import numpy as np
 import pytest
 import scipy.linalg
 
+import owalk.cli
+import owalk.periodicity
 import owalk.transfer
 from owalk import (
     build_graph,
     builtin_example,
+    complete_char,
     decompose,
     eigenvalue_support,
     is_periodic,
     mst_search,
     scan_pst,
     strong_cospectrality,
+    verify_period,
     verify_pst,
 )
 from owalk.cli import main
@@ -25,7 +29,13 @@ from owalk.cospectral import default_support_threshold
 from owalk.errors import AmbiguousGroupingError, NonRealResultError
 from owalk.spectral import cluster_values, propagator_column
 
-from conftest import k3_power, random_oriented_graph, scalar_scan_pst, transition_matrix
+from conftest import (
+    k3_power,
+    paley_tournament,
+    random_oriented_graph,
+    scalar_scan_pst,
+    transition_matrix,
+)
 
 
 def test_k3_eigenvalues_frozen(k3_sd):
@@ -142,6 +152,54 @@ def test_propagator_column_matches_matrix(k3_sd, mst8_sd):
                 col = propagator_column(sd, a, t)
                 assert np.linalg.norm(col.real - u[:, a]) < 1e-10
                 assert np.linalg.norm(col.imag) < 1e-10
+
+
+def test_batched_columns_equal_single_columns():
+    # each time of a K x 1 array takes its own matrix-vector product, so every
+    # column of the batch is bit for bit the column of that time alone
+    rng = np.random.default_rng(19)
+    graphs = [builtin_example(name) for name in ("k3", "irrational5", "mst8")]
+    graphs += [build_graph(n, [(i, (i + 1) % n) for i in range(n)]) for n in range(3, 13)]
+    graphs += [paley_tournament(q) for q in (7, 11, 19)] + [k3_power(2)]
+    graphs += [random_oriented_graph(rng, int(rng.integers(2, 41))) for _ in range(20)]
+    for g in graphs:
+        sd = decompose(g)
+        for k in (1, 17, 1024):
+            a = int(rng.integers(g.n))
+            times = rng.uniform(0.0, 50.0, size=k)
+            cols = propagator_column(sd, a, times[:, None])
+            assert cols.shape == (g.n, k)
+            for t, col in zip(times.tolist(), cols.T):
+                assert np.array_equal(propagator_column(sd, a, t), col), (g, a, t)
+
+
+def test_multi_time_callers_take_one_product_per_source(k3_sd, mst8_sd, monkeypatch):
+    # verify_period and evolve take one product, complete_char one per orbit source
+    calls = []
+
+    def counting(sd, a, t):
+        calls.append(a)
+        return propagator_column(sd, a, t)
+
+    for module in (owalk.periodicity, owalk.transfer, owalk.cli):
+        monkeypatch.setattr(module, "propagator_column", counting)
+    for sd in (k3_sd, mst8_sd):
+        cert = is_periodic(sd, eigenvalue_support(sd, 0))
+        calls.clear()
+        assert verify_period(sd, cert)
+        assert calls == [0]
+    for sd in (k3_sd, mst8_sd):
+        for mst in mst_search(sd):
+            p, a = mst.automorphism, mst.orbit[0]
+            cospec = strong_cospectrality(sd, a, p.apply(a))
+            period = is_periodic(sd, eigenvalue_support(sd, a))
+            calls.clear()
+            assert complete_char(sd, p, cospec, period) == mst
+            assert calls == list(mst.orbit)
+    calls.clear()
+    with redirect_stdout(io.StringIO()):
+        assert main(["evolve", "mst8", "--source", "5", "--t-max", "3", "--steps", "50"]) == 0
+    assert calls == [5]
 
 
 def test_derived_reads_match_projectors():

@@ -22,7 +22,7 @@ from owalk import (
     strong_cospectrality,
     verify_pst,
 )
-from owalk.errors import DisconnectedGraphError, InputError
+from owalk.errors import DisconnectedGraphError, InputError, VerificationFailedError
 
 from conftest import (
     grid_scan,
@@ -133,9 +133,9 @@ def _scan_or_error(scan, sd, a, b, t_max):
 
 def test_block_scan_matches_scalar_oracle(rng, k3_sd, irrational5_sd, mst8_sd, monkeypatch):
     # candidates taken in blocks give the certificates of the scan that tests,
-    # polishes and verifies one candidate at a time: the same times to the
-    # last bit, phases and methods, and residuals within 1e-15; and Newton
-    # polishes the same candidates to the same times, kept or not
+    # polishes and verifies one candidate at a time, equal to the last bit
+    # (times, phases, methods and residuals); and Newton polishes the same
+    # candidates to the same times, kept or not
     real = owalk.transfer._refine_peak
     polished = []
 
@@ -165,10 +165,7 @@ def test_block_scan_matches_scalar_oracle(rng, k3_sd, irrational5_sd, mst8_sd, m
         if isinstance(want, type):
             assert got is want, where
             continue
-        assert [(c.time, c.phase, c.method) for c in got] == [
-            (c.time, c.phase, c.method) for c in want
-        ], where
-        assert all(abs(c.residual - d.residual) <= 1e-15 for c, d in zip(got, want)), where
+        assert got == want, where
         events += len(got)
         candidates += len(block)
     assert events > 5513 + 84 + 3 * 127 and candidates >= events
@@ -303,7 +300,7 @@ def test_complete_char_k3(k3_sd):
     assert abs(cert.base_time - K3_TAU) < 1e-12
     assert len(cert.pairs) == 6
     assert max(pair.residual for pair in cert.pairs.values()) < 1e-10
-    # the certificates verify_pst returned, one per ordered orbit pair
+    # one direct certificate per ordered orbit pair
     for (i, j), pair in cert.pairs.items():
         assert (pair.source, pair.target, pair.method) == (cert.orbit[i], cert.orbit[j], "direct")
     # orbit positions i -> j reached after ((j - i) * m^-1) mod 3 steps
@@ -345,6 +342,15 @@ def test_complete_char_checks_its_certificates(k3_sd):
     assert complete_char(k3_sd, rot, None, period[0]) is None
     assert complete_char(k3_sd, rot, cospec[0, 1], None) is None
     assert complete_char(k3_sd, rot, None, None) is None
+
+
+def test_complete_char_names_the_pair_that_fails(k3_sd):
+    # a parity pass whose numeric check fails names the first failing pair
+    rot = SwitchingAutomorphism((1, 2, 0), (1, 1, 1))
+    cospec = strong_cospectrality(k3_sd, 0, 1)
+    period = is_periodic(k3_sd, eigenvalue_support(k3_sd, 0))
+    with pytest.raises(VerificationFailedError, match="orbit pair 0 -> 1 failed"):
+        complete_char(k3_sd, rot, cospec, period, tol=1e-30)
 
 
 def test_complete_char_alternating_c4_swap():
