@@ -15,6 +15,7 @@ from __future__ import annotations
 import math
 from collections.abc import Callable
 from dataclasses import dataclass
+from functools import cache
 from itertools import accumulate
 
 import numpy as np
@@ -81,6 +82,12 @@ def _primes(ceiling: int):
             yield m
 
 
+@cache
+def _prime_below(m: int) -> int:
+    """The largest prime in (47, m), kept: char_poly walks one chain down per ceiling."""
+    return next(_primes(m))
+
+
 def _char_poly_mod(a: np.ndarray, p: int) -> np.ndarray:
     """det(xI - A) mod a prime p with (n + 1)(p - 1)^2 < 2^63, lowest degree first.
 
@@ -126,9 +133,9 @@ def char_poly(g: OrientedGraph) -> IntPolynomial:
     raises InconsistentExactCheckError.
     """
     n, bound = g.n, _coefficient_bound(g)
-    coeffs, modulus, primes = [0] * (n + 1), 1, _primes(math.isqrt((2**63 - 1) // (n + 1)))
+    coeffs, modulus, p = [0] * (n + 1), 1, math.isqrt((2**63 - 1) // (n + 1))
     while modulus <= 2 * bound:
-        p = next(primes)
+        p = _prime_below(p)
         step, residues = pow(modulus, -1, p), _char_poly_mod(g.adjacency, p).tolist()
         coeffs = [x + modulus * ((r - x) * step % p) for x, r in zip(coeffs, residues)]
         modulus *= p

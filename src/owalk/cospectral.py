@@ -9,11 +9,12 @@ real negative alpha gives q = 1, not -1).
 
 Both are read from rows a and b of the blocks V_r in O(n): ||E_r e_a||
 is ||V_r[a]||, and ||E_r e_a - alpha E_r e_b|| is ||V_r[a] - conj(alpha) V_r[b]||.
+Each call makes a fixed number of whole-array passes; the one step taken per
+support member is libm atan2, which keeps quarrels bit-identical to cmath.phase.
 """
 
 from __future__ import annotations
 
-import cmath
 import math
 from dataclasses import dataclass
 
@@ -62,7 +63,7 @@ class CospectralityCertificate:
 
 def _members(norms: np.ndarray, threshold: float) -> tuple[int, ...]:
     """Indices r whose norm ||E_r e_a|| is above threshold."""
-    return tuple(int(r) for r in np.flatnonzero(norms > threshold))
+    return tuple(np.flatnonzero(norms > threshold).tolist())
 
 
 def eigenvalue_support(sd: SpectralDecomposition, a: int) -> EigenvalueSupport:
@@ -85,37 +86,34 @@ def strong_cospectrality(
     """
     threshold = default_support_threshold(sd.n)
     row_a, row_b = sd.vectors[a], sd.vectors[b]
-    support = _members(sd.class_norms(row_a), threshold)
+    members = np.flatnonzero(sd.class_norms(row_a) > threshold)
+    support = tuple(members.tolist())
     if support != _members(sd.class_norms(row_b), threshold):
         return None
-    inners = sd.pair_coeffs(a, b)
-    alphas: dict[int, complex] = {}
-    quarrels: dict[int, float] = {}
-    for r in support:
-        # e_b^T E_r e_a equals <E_r e_b, E_r e_a>; its phase is alpha_r
-        # whenever the two columns really are unimodular multiples.
-        inner = complex(inners[r])
-        if abs(inner) <= threshold * threshold:
-            return None
-        alpha = inner / abs(inner)
-        q = cmath.phase(alpha) / math.pi
-        if q <= -1.0:
-            q += 2.0
-        alphas[r] = alpha
-        quarrels[r] = q
+    # e_b^T E_r e_a = <E_r e_b, E_r e_a> has phase alpha_r; hypot, atan2 and dividing re + im*0
+    # and im - re*0 round as abs(complex), cmath.phase and complex / float, signed zeros too.
+    inner = sd.pair_coeffs(a, b)[members]
+    re, im = inner.real, inner.imag
+    mag = np.hypot(re, im)
+    if mag.min() <= threshold * threshold:
+        return None
+    alpha = np.empty_like(inner)
+    alpha.real, alpha.imag = (re + im * 0.0) / mag, (im - re * 0.0) / mag
+    q = np.array(list(map(math.atan2, alpha.imag.tolist(), alpha.real.tolist()))) / math.pi
+    q[q <= -1.0] += 2.0
     # the residual is the largest ||E_r e_a - alpha_r E_r e_b||, which is
     # ||V_r[a] - conj(alpha_r) V_r[b]||, over the support
     conj_alphas = np.zeros(len(sd.eigenvalues), dtype=complex)
-    conj_alphas[list(support)] = np.conj(list(alphas.values()))
+    conj_alphas[members] = alpha.conj()
     mismatch = sd.class_norms(row_a - np.repeat(conj_alphas, sd.multiplicities) * row_b)
-    residual = float(mismatch[list(support)].max())
+    residual = float(mismatch[members].max())
     if residual > tol:
         return None
     return CospectralityCertificate(
         a=a,
         b=b,
         support=support,
-        alphas=alphas,
-        quarrels=quarrels,
+        alphas=dict(zip(support, alpha.tolist())),
+        quarrels=dict(zip(support, q.tolist())),
         residual=residual,
     )

@@ -21,7 +21,6 @@ import numpy as np
 from . import arithmetic
 from .cospectral import EigenvalueSupport
 from .errors import DisconnectedGraphError
-from .graph import is_connected
 from .spectral import SpectralDecomposition, propagator_column
 
 __all__ = ["PeriodicityCertificate", "is_periodic", "verify_period"]
@@ -53,14 +52,13 @@ def is_periodic(
 ) -> PeriodicityCertificate | None:
     """Decide periodicity of the supported vertex and build its certificate.
 
-    Requires a connected graph on at least two vertices.  Returns None
-    when the support's nonzero eigenvalues do not share a square-free
-    Delta; the integer recognition is cross-checked against the exact
-    characteristic polynomial, which is computed (once per decomposition)
-    only when every value has been recognized as an integer.
+    Requires a connected graph on at least two vertices, decided once per
+    decomposition.  Returns None when the support's nonzero eigenvalues do not
+    share a square-free Delta; the integer recognition is cross-checked against
+    the exact characteristic polynomial, which is computed (once per
+    decomposition) only when every value has been recognized as an integer.
     """
-    g = sd.graph
-    if g.n < 2 or not is_connected(g):
+    if sd.n < 2 or not sd.connected:
         raise DisconnectedGraphError(
             "periodicity is defined for connected graphs on >= 2 vertices"
         )
@@ -97,17 +95,17 @@ def is_periodic(
 
 
 def verify_period(sd: SpectralDecomposition, cert: PeriodicityCertificate) -> bool:
-    """Numerically confirm the certificate's period, and that half of it is none.
+    """Numerically confirm the certificate's period, and that sigma/p is none for p = 2, 3, 5, 7.
 
-    One product gives U(t) e_a at sigma, at sigma/2 and at 16 seeded random
-    times in (0, sigma).  Checks ||U(sigma) e_a - phase * e_a|| < tol with
-    tol = 1e-7, and that at the other 17 times the walker is far (> 10*tol)
-    from both +e_a and -e_a.  So a doubled period fails; minimality beyond a
-    factor of 2 rests on the exact certificate.
+    One product gives U(t) e_a at sigma / p for p = 1, 2, 3, 5, 7 and at 16 seeded
+    random times in (0, sigma).  Checks ||U(sigma) e_a - phase * e_a|| < tol with
+    tol = 1e-7, and that at the other 20 times the walker is far (> 10*tol) from
+    both +e_a and -e_a.  So a period taken 2, 3, 5 or 7 times fails; minimality
+    beyond factors 2, 3, 5 and 7 rests on the exact certificate.
     """
     a = cert.vertex
-    rng = np.random.default_rng(_SPOT_CHECK_SEED + a)
-    times = [cert.sigma, cert.sigma / 2, *rng.uniform(0.0, cert.sigma, size=_SPOT_CHECK_COUNT)]
+    spots = np.random.default_rng(_SPOT_CHECK_SEED + a).uniform(0.0, cert.sigma, _SPOT_CHECK_COUNT)
+    times = [*(cert.sigma / p for p in (1, 2, 3, 5, 7)), *spots]
     cols = propagator_column(sd, a, np.array(times)[:, None])
     e_a = (np.arange(sd.n) == a)[:, None, None]
     dist = np.linalg.norm(cols[:, :, None] - e_a * [1.0, -1.0], axis=0)  # from +e_a, -e_a

@@ -24,7 +24,7 @@ import numpy as np
 
 from . import arithmetic
 from .errors import AmbiguousGroupingError, EigensolverFailureError
-from .graph import OrientedGraph
+from .graph import OrientedGraph, is_connected
 
 __all__ = [
     "SpectralDecomposition",
@@ -68,9 +68,10 @@ class SpectralDecomposition:
     def n(self) -> int:
         return self.graph.n
 
-    @property
+    @cached_property
     def multiplicities(self) -> tuple[int, ...]:
-        return tuple(np.diff(self.starts, append=self.n).tolist())
+        starts = self.starts.tolist()  # not np.diff, whose first call in a process costs ~0.2 ms
+        return tuple(b - a for a, b in zip(starts, [*starts[1:], self.n]))
 
     def pair_coeffs(self, a: int, b: int) -> np.ndarray:
         """E_r[b, a] over r, so that U(t)[b, a] = sum_r exp(-i*t*y_r) * E_r[b, a]."""
@@ -91,6 +92,11 @@ class SpectralDecomposition:
     def char_poly(self) -> arithmetic.IntPolynomial:
         """Exact characteristic polynomial of the graph, computed on first use."""
         return arithmetic.char_poly(self.graph)
+
+    @cached_property
+    def connected(self) -> bool:
+        """Whether the graph is connected, decided on first use."""
+        return is_connected(self.graph)
 
 
 def decompose(g: OrientedGraph) -> SpectralDecomposition:

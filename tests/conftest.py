@@ -1,4 +1,5 @@
 import argparse
+import cmath
 import json
 import math
 
@@ -15,6 +16,7 @@ from owalk import (
     is_switching_automorphism,
 )
 from owalk import __version__, first_char_check, strong_cospectrality, verify_pst
+from owalk import CospectralityCertificate
 from owalk import transfer
 from owalk.graph import BUILTIN_NAMES, _components
 from owalk.transfer import DEFAULT_PARITY_TOL, DEFAULT_PST_TOL, MAX_SCAN_CANDIDATES
@@ -204,6 +206,40 @@ def grid_scan(sd, a, b, t_max, points=8192):
             continue
         events.append((float(t), 1 if value.real > 0 else -1))
     return events
+
+
+def scalar_strong_cospectrality(sd, a, b, tol=1e-7):
+    """Strong cospectrality of a and b, one eigenvalue class at a time; a test oracle.
+
+    owalk's ``strong_cospectrality`` reads the support in whole-array passes;
+    this loop takes the supports index by index and, per class, ``complex()``,
+    ``abs``, ``complex / float`` and ``cmath.phase``.  Both must give the same
+    certificate bit for bit, signed zeros included.
+    """
+    threshold = 1e-8 * sd.n
+    row_a, row_b = sd.vectors[a], sd.vectors[b]
+    support = tuple(int(r) for r in np.flatnonzero(sd.class_norms(row_a) > threshold))
+    if support != tuple(int(r) for r in np.flatnonzero(sd.class_norms(row_b) > threshold)):
+        return None
+    inners = sd.pair_coeffs(a, b)
+    alphas, quarrels = {}, {}
+    for r in support:
+        inner = complex(inners[r])
+        if abs(inner) <= threshold * threshold:
+            return None
+        alpha = inner / abs(inner)
+        q = cmath.phase(alpha) / math.pi
+        if q <= -1.0:
+            q += 2.0
+        alphas[r] = alpha
+        quarrels[r] = q
+    conj_alphas = np.zeros(len(sd.eigenvalues), dtype=complex)
+    conj_alphas[list(support)] = np.conj(list(alphas.values()))
+    mismatch = sd.class_norms(row_a - np.repeat(conj_alphas, sd.multiplicities) * row_b)
+    residual = float(mismatch[list(support)].max())
+    if residual > tol:
+        return None
+    return CospectralityCertificate(a, b, support, alphas, quarrels, residual)
 
 
 def scalar_scan_pst(sd, a, b, t_max, grid=MAX_SCAN_CANDIDATES, tol=DEFAULT_PST_TOL):

@@ -1,4 +1,5 @@
 import io
+import itertools
 import math
 from contextlib import redirect_stderr
 
@@ -194,6 +195,20 @@ def test_primes_match_sympy():
             want.append(sympy.prevprime(want[-1]))
         got = owalk.arithmetic._primes(ceiling)
         assert [next(got) for _ in range(20)] == want[1:], n
+
+
+def test_char_poly_searches_for_each_prime_once(monkeypatch):
+    # the primes of one ceiling are found on the first call and kept: a second
+    # char_poly on n vertices, even of another graph, runs no primality test
+    ceiling = math.isqrt((2**63 - 1) // (64 + 1))
+    chain = [ceiling]
+    for _ in range(20):
+        chain.append(owalk.arithmetic._prime_below(chain[-1]))
+    assert chain[1:] == list(itertools.islice(owalk.arithmetic._primes(ceiling), 20))
+    graphs = [random_oriented_graph(np.random.default_rng(seed), 64) for seed in (1, 2)]
+    want = [char_poly(g) for g in graphs]
+    monkeypatch.setattr(owalk.arithmetic, "_primes", None)
+    assert [char_poly(g) for g in reversed(graphs)] == want[::-1]
 
 
 def test_char_poly_agrees_with_a_prime_outside_the_lift(monkeypatch):

@@ -3,9 +3,9 @@ import math
 
 import numpy as np
 
-from owalk import decompose, eigenvalue_support, strong_cospectrality
+from owalk import build_graph, builtin_example, decompose, eigenvalue_support, strong_cospectrality
 
-from conftest import random_oriented_graph
+from conftest import k3_power, paley_tournament, random_oriented_graph, scalar_strong_cospectrality
 
 
 def test_k3_support_is_everything(k3_sd):
@@ -98,3 +98,44 @@ def test_vertex_with_itself(k3_sd):
     assert cert is not None
     for r in cert.support:
         assert abs(cert.quarrels[r]) < 1e-12
+
+
+def _matches_scalar_oracle(sd, pairs):
+    """Supports and certificates equal the per-class loop's, repr for repr; positives seen."""
+    for a in range(sd.n):
+        want = tuple(int(r) for r in np.flatnonzero(sd.class_norms(sd.vectors[a]) > 1e-8 * sd.n))
+        assert eigenvalue_support(sd, a).members == want
+    positive = 0
+    for a, b in pairs:
+        got, want = strong_cospectrality(sd, a, b), scalar_strong_cospectrality(sd, a, b)
+        assert got == want and repr(got) == repr(want), (a, b)
+        positive += want is not None
+    return positive
+
+
+def test_whole_array_certificates_equal_the_scalar_oracle():
+    graphs = [builtin_example(name) for name in ("k3", "irrational5", "mst8")]
+    graphs += [build_graph(n, [(i, (i + 1) % n) for i in range(n)]) for n in range(3, 17)]
+    graphs += [paley_tournament(q) for q in (7, 11, 19, 23, 31, 43)]
+    graphs += [k3_power(d) for d in (1, 2, 3)]
+    positive = self_pairs = 0
+    for g in graphs:
+        pairs = [(a, b) for a in range(g.n) for b in range(g.n)]
+        positive += _matches_scalar_oracle(decompose(g), pairs)
+        self_pairs += g.n
+    assert positive > self_pairs + 100  # many pairs besides (a, a)
+
+
+def test_whole_array_certificates_equal_the_scalar_oracle_on_random_graphs():
+    # G x K2 (a second copy of G, each vertex joined to its copy) has PST from
+    # (v, 0) to (v, 1) through the K2 factor, so those pairs are strongly cospectral
+    rng = np.random.default_rng(20)
+    for _ in range(20):
+        g = random_oriented_graph(rng, int(rng.integers(2, 129)), p=float(rng.uniform(0.1, 0.7)))
+        m = g.n
+        edges = [(u + i * m, v + i * m) for u, v in g.edges for i in (0, 1)]
+        doubled = build_graph(2 * m, edges + [(v, v + m) for v in range(m)])
+        vs = rng.integers(0, m, size=10).tolist()
+        pairs = [(v, v + m) for v in vs] + [(v + m, v) for v in vs] + [(v, v) for v in vs]
+        pairs += [tuple(rng.integers(0, 2 * m, size=2).tolist()) for _ in range(30)]
+        assert _matches_scalar_oracle(decompose(doubled), pairs) >= 30

@@ -3,7 +3,9 @@ import math
 import numpy as np
 import pytest
 
-from owalk import build_graph, decompose, eigenvalue_support, is_periodic, verify_period
+import owalk.graph
+from owalk import build_graph, builtin_example, decompose, eigenvalue_support, is_periodic
+from owalk import mst_search, verify_period
 from owalk.errors import DisconnectedGraphError
 from owalk.spectral import propagator_column
 
@@ -88,6 +90,18 @@ def test_verify_period_rejects_a_doubled_period(k3_sd, irrational5_sd, mst8_sd, 
             assert not verify_period(sd, replace(cert, sigma=2 * cert.sigma, phase=phase))
 
 
+@pytest.mark.parametrize("factor", [3, 5, 7])
+def test_verify_period_rejects_odd_multiples(factor, k3_sd, irrational5_sd, mst8_sd, single_edge_sd):
+    # U(factor * sigma) e_a = phase^factor e_a = phase e_a, so only the check at
+    # sigma / factor, where the walker is back, tells the two apart
+    from dataclasses import replace
+
+    cases = [(k3_sd, 0), (mst8_sd, 0), (irrational5_sd, 0), (irrational5_sd, 3), (single_edge_sd, 0)]
+    for sd, v in cases:
+        cert = _cert(sd, v)
+        assert not verify_period(sd, replace(cert, sigma=factor * cert.sigma))
+
+
 def test_period_phase_repeats(k3_sd, single_edge_sd, mst8_sd):
     # U(k sigma) e_a = phase^k e_a
     for sd in (k3_sd, single_edge_sd, mst8_sd):
@@ -141,5 +155,19 @@ def test_even_b_with_zero_support():
 def test_disconnected_graph_rejected():
     g = build_graph(4, [(0, 1), (2, 3)])
     sd = decompose(g)
-    with pytest.raises(DisconnectedGraphError):
-        is_periodic(sd, eigenvalue_support(sd, 0))
+    for _ in range(2):
+        for v in range(g.n):
+            with pytest.raises(DisconnectedGraphError):
+                is_periodic(sd, eigenvalue_support(sd, v))
+
+
+def test_connectivity_decided_once_per_decomposition(monkeypatch):
+    calls = []
+    real = owalk.graph._components
+    monkeypatch.setattr(owalk.graph, "_components", lambda g: calls.append(g) or real(g))
+    sd = decompose(builtin_example("mst8"))
+    for _ in range(3):
+        for v in range(sd.n):
+            is_periodic(sd, eigenvalue_support(sd, v))
+    mst_search(sd)  # reads each vertex's periodicity through is_periodic
+    assert len(calls) == 1

@@ -1,10 +1,17 @@
-"""Switching and reversal relations on generated connected graphs (n <= 8).
+"""Relabeling, switching and reversal relations on generated connected graphs.
 
 Switching by a diagonal sign matrix D gives A' = DAD, so U'(t) = D U(t) D:
 every vertex keeps its Delta, sigma and period phase, and PST a -> b keeps
 its times while its phase is multiplied by d_a * d_b.  Reversing every edge
 gives A' = -A, so U'(t) = U(t)^T: PST a -> b at tau holds exactly when the
-reversed graph has PST b -> a at tau, with the same phase.
+reversed graph has PST b -> a at tau, with the same phase.  These run on
+n <= 8.
+
+On n <= 10, relabeling by a permutation P gives E'_r = P E_r P^T: the
+support of pi(a) holds the eigenvalues of the support of a, and the pair
+(pi(a), pi(b)) has the quarrels of (a, b).  Under switching E'_r = D E_r D,
+so E'_r e_a = alpha_r d_a d_b E'_r e_b: a quarrel shifts by 1 mod 2 exactly
+where d_a * d_b = -1.
 
 The graphs are relabeled builtins and a few small PST families, so that
 transfers occur, and random orientations of connected graphs.
@@ -14,7 +21,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from owalk import build_graph, builtin_example, decompose, eigenvalue_support, is_periodic
-from owalk import scan_pst
+from owalk import scan_pst, strong_cospectrality
 
 T_MAX = 8.0
 SETTINGS = settings(max_examples=100, deadline=None, derandomize=True, database=None)
@@ -28,8 +35,8 @@ _TRANSFER_GRAPHS += [
 
 
 @st.composite
-def _random_connected(draw):
-    n = draw(st.integers(2, 8))
+def _random_connected(draw, n_max=8):
+    n = draw(st.integers(2, n_max))
     pairs = {(draw(st.integers(0, v - 1)), v) for v in range(1, n)}  # a spanning tree
     pairs |= set(draw(st.lists(st.sampled_from([(u, v) for v in range(n) for u in range(v)]))))
     flips = draw(st.lists(st.booleans(), min_size=len(pairs), max_size=len(pairs)))
@@ -44,6 +51,7 @@ def _relabeled(draw):
 
 
 GRAPHS = st.one_of(_relabeled(), _random_connected())
+GRAPHS_10 = st.one_of(_relabeled(), _random_connected(10))
 
 
 def _periods(sd):
@@ -79,3 +87,53 @@ def test_reversal_swaps_source_and_target(g):
         for b in range(g.n):
             if a != b:
                 _same_events(scan_pst(rev, b, a, T_MAX), scan_pst(sd, a, b, T_MAX))
+
+
+def _quarrel_shift(before, after):
+    """(q' - q) mod 2 for each support index, in [0, 2)."""
+    return [(after.quarrels[r] - before.quarrels[r]) % 2.0 for r in before.support]
+
+
+def _near(x, target, tol=1e-12):
+    """x within tol of target on the circle R / 2Z."""
+    return abs((x - target + 1.0) % 2.0 - 1.0) < tol
+
+
+def _pair_certificates(sd, label=lambda v: v):
+    pairs = [(a, b) for a in range(sd.n) for b in range(sd.n)]
+    return {(a, b): strong_cospectrality(sd, label(a), label(b)) for a, b in pairs}
+
+
+@SETTINGS
+@given(g=GRAPHS_10, data=st.data())
+def test_relabeling_maps_supports_and_quarrels(g, data):
+    perm = data.draw(st.permutations(range(g.n)))
+    sd = decompose(g)
+    sp = decompose(build_graph(g.n, [(perm[u], perm[v]) for u, v in g.edges]))
+    assert len(sd.eigenvalues) == len(sp.eigenvalues)
+    assert all(abs(x - y) < 1e-9 for x, y in zip(sd.eigenvalues, sp.eigenvalues))
+    for a in range(g.n):
+        # class r of one decomposition holds the same eigenvalue as class r of the other
+        assert eigenvalue_support(sd, a).members == eigenvalue_support(sp, perm[a]).members
+    relabeled = _pair_certificates(sp, lambda v: perm[v])
+    for pair, cert in _pair_certificates(sd).items():
+        other = relabeled[pair]
+        assert (cert is None) == (other is None), pair
+        if cert is not None:
+            assert cert.support == other.support
+            assert all(_near(s, 0.0) for s in _quarrel_shift(cert, other)), pair
+
+
+@SETTINGS
+@given(g=GRAPHS_10, data=st.data())
+def test_switching_shifts_quarrels_where_signs_differ(g, data):
+    d = data.draw(st.lists(st.sampled_from((1, -1)), min_size=g.n, max_size=g.n))
+    switched = build_graph(g.n, [(u, v) if d[u] == d[v] else (v, u) for u, v in g.edges])
+    after = _pair_certificates(decompose(switched))
+    for (a, b), cert in _pair_certificates(decompose(g)).items():
+        other = after[a, b]
+        assert (cert is None) == (other is None), (a, b)
+        if cert is not None:
+            assert cert.support == other.support
+            shift = 0.0 if d[a] == d[b] else 1.0
+            assert all(_near(s, shift) for s in _quarrel_shift(cert, other)), (a, b, d)
