@@ -66,12 +66,15 @@ class IntPolynomial:
         return m, IntPolynomial(coeffs[m:])
 
 
-def _primes(ceiling: int):
-    """Primes in (47, ``ceiling``), largest first, for ``ceiling`` <= 3.2e9.
+@cache
+def _prime_below(ceiling: int) -> int:
+    """The largest prime in (47, ``ceiling``), for ``ceiling`` <= 3.2e9, kept per ceiling.
 
     A gcd with 3 * 5 * ... * 47 drops most composites at once; Miller-Rabin
     with bases 2, 3, 5, 7 is exact on the rest: x = a^d mod m by one pow per
-    base, then x^2, x^4, ..., x^(2^(s-1)) by squaring."""
+    base, then x^2, x^4, ..., x^(2^(s-1)) by squaring.  char_poly walks one
+    chain of these down from the ceiling of each n, so a later call at the
+    same n tests no candidate again."""
     for m in range((ceiling - 2) | 1, 1, -2):
         s = ((m - 1) & (1 - m)).bit_length() - 1  # m - 1 = d * 2^s with d odd
         if math.gcd(m, 307444891294245705) == 1 and all(
@@ -79,13 +82,7 @@ def _primes(ceiling: int):
             or m - 1 in accumulate(range(s - 1), lambda y, _: y * y % m, initial=x)
             for a in (2, 3, 5, 7)
         ):
-            yield m
-
-
-@cache
-def _prime_below(m: int) -> int:
-    """The largest prime in (47, m), kept: char_poly walks one chain down per ceiling."""
-    return next(_primes(m))
+            return m
 
 
 def _char_poly_mod(a: np.ndarray, p: int) -> np.ndarray:

@@ -61,15 +61,15 @@ class CospectralityCertificate:
     residual: float
 
 
-def _members(norms: np.ndarray, threshold: float) -> tuple[int, ...]:
-    """Indices r whose norm ||E_r e_a|| is above threshold."""
-    return tuple(np.flatnonzero(norms > threshold).tolist())
+def _members(norms: np.ndarray, threshold: float) -> np.ndarray:
+    """Indices r whose norm ||E_r e_a|| is above threshold, ascending."""
+    return np.flatnonzero(norms > threshold)
 
 
 def eigenvalue_support(sd: SpectralDecomposition, a: int) -> EigenvalueSupport:
     """Support of vertex ``a``: eigenvalue indices whose idempotent sees it."""
     threshold = default_support_threshold(sd.n)
-    members = _members(sd.class_norms(sd.vectors[a]), threshold)
+    members = tuple(_members(sd.class_norms(sd.vectors[a]), threshold).tolist())
     return EigenvalueSupport(vertex=a, members=members, threshold=threshold)
 
 
@@ -86,9 +86,9 @@ def strong_cospectrality(
     """
     threshold = default_support_threshold(sd.n)
     row_a, row_b = sd.vectors[a], sd.vectors[b]
-    members = np.flatnonzero(sd.class_norms(row_a) > threshold)
+    members = _members(sd.class_norms(row_a), threshold)
     support = tuple(members.tolist())
-    if support != _members(sd.class_norms(row_b), threshold):
+    if support != tuple(_members(sd.class_norms(row_b), threshold).tolist()):
         return None
     # e_b^T E_r e_a = <E_r e_b, E_r e_a> has phase alpha_r; hypot, atan2 and dividing re + im*0
     # and im - re*0 round as abs(complex), cmath.phase and complex / float, signed zeros too.

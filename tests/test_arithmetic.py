@@ -1,5 +1,4 @@
 import io
-import itertools
 import math
 from contextlib import redirect_stderr
 
@@ -193,22 +192,20 @@ def test_primes_match_sympy():
         want = [ceiling]
         while len(want) <= 20:
             want.append(sympy.prevprime(want[-1]))
-        got = owalk.arithmetic._primes(ceiling)
-        assert [next(got) for _ in range(20)] == want[1:], n
+        got = [ceiling]
+        while len(got) <= 20:
+            got.append(owalk.arithmetic._prime_below(got[-1]))
+        assert got == want, n
 
 
-def test_char_poly_searches_for_each_prime_once(monkeypatch):
+def test_char_poly_searches_for_each_prime_once():
     # the primes of one ceiling are found on the first call and kept: a second
     # char_poly on n vertices, even of another graph, runs no primality test
-    ceiling = math.isqrt((2**63 - 1) // (64 + 1))
-    chain = [ceiling]
-    for _ in range(20):
-        chain.append(owalk.arithmetic._prime_below(chain[-1]))
-    assert chain[1:] == list(itertools.islice(owalk.arithmetic._primes(ceiling), 20))
     graphs = [random_oriented_graph(np.random.default_rng(seed), 64) for seed in (1, 2)]
     want = [char_poly(g) for g in graphs]
-    monkeypatch.setattr(owalk.arithmetic, "_primes", None)
+    searches = owalk.arithmetic._prime_below.cache_info().misses
     assert [char_poly(g) for g in reversed(graphs)] == want[::-1]
+    assert owalk.arithmetic._prime_below.cache_info().misses == searches
 
 
 def test_char_poly_agrees_with_a_prime_outside_the_lift(monkeypatch):
@@ -223,8 +220,7 @@ def test_char_poly_agrees_with_a_prime_outside_the_lift(monkeypatch):
     )
     coeffs = char_poly(g).coeffs
     assert all((g.n + 1) * (p - 1) ** 2 < 2**63 for p in used)
-    ceiling = math.isqrt((2**63 - 1) // (g.n + 1))
-    fresh = next(p for p in owalk.arithmetic._primes(ceiling) if p not in used)
+    fresh = owalk.arithmetic._prime_below(min(used))  # the primes are drawn largest first
     assert all(sympy.isprime(p) for p in used + [fresh])
     assert [c % fresh for c in coeffs] == real(g.adjacency, fresh).tolist()
 
