@@ -3,11 +3,12 @@
 det(xI - A) is computed modulo primes p with (n + 1)(p - 1)^2 < 2^63, by
 Hessenberg reduction and the Hessenberg recurrence (Cohen, A Course in
 Computational Algebraic Number Theory, 2.2) in int64 numpy, where each matrix
-product is exact and reduced once.  The residues are lifted by CRT past an
-edge-count bound on the coefficients and checked for the shape of a
-skew-symmetric characteristic polynomial.  Squared eigenvalue magnitudes of a
-skew-symmetric integer matrix are algebraic integers; recognizing them as
-b^2 * Delta with Delta square-free is what decides periodicity.
+product is exact and reduced once; one pass reduces a group of primes.  The
+residues are lifted by CRT past an edge-count bound on the coefficients and
+checked for the shape of a skew-symmetric characteristic polynomial.  Squared
+eigenvalue magnitudes of a skew-symmetric integer matrix are algebraic
+integers; recognizing them as b^2 * Delta with Delta square-free is what
+decides periodicity.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ from __future__ import annotations
 import math
 from collections.abc import Callable
 from dataclasses import dataclass
-from functools import cache
+from functools import cache, cached_property
 from itertools import accumulate
 
 import numpy as np
@@ -65,6 +66,11 @@ class IntPolynomial:
             m += 1
         return m, IntPolynomial(coeffs[m:])
 
+    @cached_property
+    def _in_x_squared(self) -> "IntPolynomial":
+        """q with p(x) = x^m * q(x^2), built on first read: for p = x^m times an even polynomial."""
+        return IntPolynomial(self.even_part()[1].coeffs[0::2])
+
 
 @cache
 def _prime_below(ceiling: int) -> int:
@@ -85,31 +91,63 @@ def _prime_below(ceiling: int) -> int:
             return m
 
 
-def _char_poly_mod(a: np.ndarray, p: int) -> np.ndarray:
-    """det(xI - A) mod a prime p with (n + 1)(p - 1)^2 < 2^63, lowest degree first.
+# int64 entries in one pass's stack: every prime of n <= 64, six at n = 128, one from n = 224 up
+_GROUP_ENTRIES = 100_000
 
-    A goes to upper Hessenberg form H by similarity; p_m = det(xI - H[:m, :m]) is
-    x p_{m-1} - sum_i c_i p_{i-1} with c_i = H[i-1, m-1] H[i, i-1] ... H[m-1, m-2]."""
+
+def _char_poly_mod(a: np.ndarray, primes: list[int]) -> list[list[int]]:
+    """det(xI - A) mod each prime of ``primes``, lowest degree first, one list per prime.
+
+    Every p has (n + 1)(p - 1)^2 < 2^63.  A goes to upper Hessenberg form H by
+    similarity; p_m = det(xI - H[:m, :m]) is x p_{m-1} - sum_i c_i p_{i-1} with
+    c_i = H[i-1, m-1] H[i, i-1] ... H[m-1, m-2].  One prime works on the n x n
+    matrix with a scalar modulus; a group works on a stack of them, one per
+    prime, with moduli shaped to broadcast against matrices (p) and rows (q).
+    The group pivots on the row its first prime picks.  det(xI - H) mod p does
+    not depend on that choice, but a prime whose entry in that row is 0 while
+    its column below is not cannot pivot there, and is recomputed alone."""
+    k, n = len(primes), len(a)
+    q = primes[0] if k == 1 else np.array(primes, dtype=np.int64)[:, None]
+    p = q if k == 1 else q[:, :, None]
     h = a % p
-    n = len(h)
+    lead, lone = h if k == 1 else h[0], set()
     for j in range(n - 2):
-        i = j + 1 + int(np.argmax(h[j + 1 :, j] != 0))
-        if h[i, j] == 0:
-            continue
+        i = j + 1 if lead[j + 1, j] else j + 1 + int(np.argmax(lead[j + 1 :, j] != 0))
+        pivots = h[..., i, j].tolist()
+        if k == 1:
+            if pivots == 0:
+                continue
+            inv = pow(pivots, -1, q)
+        else:
+            if 0 in pivots:
+                below = h[:, j + 1 :, j].any(axis=1).tolist()
+                lone.update(r for r, x, b in zip(primes, pivots, below) if b and not x)
+            inv = np.array([pow(x, -1, r) if x else 0 for x, r in zip(pivots, primes)])[:, None]
         if i != j + 1:
-            h[[i, j + 1]] = h[[j + 1, i]]
-            h[:, [i, j + 1]] = h[:, [j + 1, i]]
-        u = h[j + 2 :, j] * pow(int(h[j + 1, j]), -1, p) % p
-        h[j + 2 :, j:] = (h[j + 2 :, j:] - np.outer(u, h[j + 1, j:])) % p
-        h[:, j + 1] = (h[:, j + 1] + h[:, j + 2 :] @ u) % p
-    polys = np.eye(n + 1, dtype=np.int64)  # row m: p_m, monic of degree m
-    t = np.ones(n, dtype=np.int64)
+            h[..., [i, j + 1], :] = h[..., [j + 1, i], :]
+            h[..., :, [i, j + 1]] = h[..., :, [j + 1, i]]
+        u = h[..., j + 2 :, j] * inv % q
+        block = h[..., j + 2 :, j:]
+        block -= u[..., None] * h[..., j + 1, None, j:]
+        block %= p
+        column = h[..., :, j + 1]
+        column += (h[..., :, j + 2 :] @ u[..., None])[..., 0]
+        column %= q
+    sub = np.diagonal(h, -1, -2, -1).T.reshape(n - 1, *np.shape(q))  # H[m, m - 1] per prime
+    polys = np.zeros((*h.shape[:-2], n + 1, n + 1), dtype=np.int64)  # row m: p_m, monic
+    polys[..., 0, 0] = 1
+    t = np.ones((*h.shape[:-2], n), dtype=np.int64)
     for m in range(1, n + 1):
-        t[: m - 1] = t[: m - 1] * h[m - 1, m - 2] % p  # empty for m = 1
-        c = t[:m] * h[:m, m - 1] % p
-        polys[m, 1 : m + 1] = polys[m - 1, :m]
-        polys[m, :m] = (polys[m, :m] - c @ polys[:m, :m]) % p
-    return polys[n]
+        if m > 1:
+            t[..., : m - 1] = t[..., : m - 1] * sub[m - 2] % q
+        c = t[..., :m] * h[..., :m, m - 1] % q
+        polys[..., m, 1 : m + 1] = polys[..., m - 1, :m]
+        cp = (c[..., None, :] @ polys[..., :m, :m])[..., 0, :]
+        polys[..., m, :m] = (polys[..., m, :m] - cp) % q
+    residues = polys[..., n, :].reshape(k, n + 1).tolist()
+    for r in lone:
+        residues[primes.index(r)] = _char_poly_mod(a, [r])[0]
+    return residues
 
 
 def _coefficient_bound(g: OrientedGraph) -> int:
@@ -124,18 +162,27 @@ def char_poly(g: OrientedGraph) -> IntPolynomial:
     It is x^m * prod(x^2 + z_r) over at most P = n // 2 numbers z_r >= 0 with
     sum z_r = sum A_ij^2 / 2 = |E|, so by Maclaurin's inequality the coefficient
     e_k(z) is at most C(P, k) * (|E| / P)^k.  Residues mod primes p with
-    (n + 1)(p - 1)^2 < 2^63 are combined by CRT until the modulus exceeds twice
-    that bound, so the symmetric lift is exact.  A result not of that shape
+    (n + 1)(p - 1)^2 < 2^63, drawn largest first and reduced in groups whose
+    stack of n x n matrices stays within _GROUP_ENTRIES, are combined by CRT
+    until the modulus exceeds twice that bound, so the symmetric lift is
+    exact.  A result not of that shape
     (monic of degree n, zero at odd offsets from x^m, nonnegative elsewhere)
     raises InconsistentExactCheckError.
     """
     n, bound = g.n, _coefficient_bound(g)
-    coeffs, modulus, p = [0] * (n + 1), 1, math.isqrt((2**63 - 1) // (n + 1))
+    primes, modulus, p = [], 1, math.isqrt((2**63 - 1) // (n + 1))
     while modulus <= 2 * bound:
         p = _prime_below(p)
-        step, residues = pow(modulus, -1, p), _char_poly_mod(g.adjacency, p).tolist()
-        coeffs = [x + modulus * ((r - x) * step % p) for x, r in zip(coeffs, residues)]
+        primes.append(p)
         modulus *= p
+    size = max(1, _GROUP_ENTRIES // max(n * n, 1))
+    coeffs, modulus = [0] * (n + 1), 1
+    for s in range(0, len(primes), size):
+        group = primes[s : s + size]
+        for p, residues in zip(group, _char_poly_mod(g.adjacency, group)):
+            step = pow(modulus, -1, p)
+            coeffs = [x + modulus * ((r - x) * step % p) for x, r in zip(coeffs, residues)]
+            modulus *= p
     poly = IntPolynomial(tuple(x - modulus if 2 * x > modulus else x for x in coeffs))
     even = poly.even_part()[1].coeffs
     if poly.degree != n or even[-1] != 1 or any(even[1::2]) or min(even) < 0:
@@ -203,7 +250,7 @@ def quadratic_integer_profile(
     if not recognized:
         return None
     if poly is not None:
-        reduced = IntPolynomial(poly().even_part()[1].coeffs[0::2])  # q(z), z = x^2
+        reduced = poly()._in_x_squared  # q(z), z = x^2, built once per polynomial
         for c in recognized:
             if reduced(-c) != 0:
                 raise InconsistentExactCheckError(

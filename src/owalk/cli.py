@@ -37,7 +37,9 @@ from .errors import (
 from .graph import BUILTIN_NAMES, OrientedGraph, builtin_example, parse_graph, serialize_graph
 from .periodicity import is_periodic, verify_period
 from .spectral import DEFAULT_GROUPING_TOL, decompose, propagator_column
-from .transfer import DEFAULT_PST_TOL, DEFAULT_SCAN_TMAX, mst_search, scan_pst, verify_pst
+from .transfer import (
+    DEFAULT_PST_TOL, DEFAULT_SCAN_TMAX, REALNESS_TOL, mst_search, scan_pst, verify_pst,
+)
 
 __all__ = ["main"]
 
@@ -171,6 +173,20 @@ def _check_vertex(g: OrientedGraph, v: int, role: str) -> None:
         raise VertexOutOfRangeError(f"{role} {v} out of range for n = {g.n}")
 
 
+def _check_time(sd, t: float, flag: str, tol: float) -> None:
+    """Refuse a time whose phases t*y round by more than the tolerance or the realness check admit.
+
+    A phase t*y with |y| <= rho is off by up to |t| * rho * 2^-52, and so are the
+    real and imaginary parts of U(t) e_a built from it."""
+    rho = max(-float(sd.eigenvalues[0]), float(sd.eigenvalues[-1]), 0.0)
+    limit = min(tol, REALNESS_TOL)
+    if abs(t) * rho * 2.0**-52 > limit:
+        raise InputError(
+            f"{flag} {t!r} is past {limit * 2**52 / rho:.6g}, the longest time at which "
+            f"the phases t*y (|y| <= {rho:.6g}) round by less than {limit!r}"
+        )
+
+
 def _sigma_of(sd, vertex: int) -> tuple[float | None, str]:
     """Minimum period of the vertex, or None and the note that says why it has none."""
     try:
@@ -300,10 +316,12 @@ def _cmd_pst(args, g, report, lines) -> bool:
     _check_vertex(g, args.b, "target")
     sd = decompose(g)
     if args.time is not None:
+        _check_time(sd, args.time, "--time", args.eff_tol)
         cert = verify_pst(sd, args.a, args.b, args.time, tol=args.eff_tol)
         certs = [] if cert is None else [cert]
     else:
         t_max = DEFAULT_SCAN_TMAX if args.t_max is None else args.t_max
+        _check_time(sd, t_max, "--t-max", args.eff_tol)
         certs = scan_pst(sd, args.a, args.b, t_max=t_max, tol=args.eff_tol)
     sigma, why = _sigma_of(sd, args.a) if certs else (None, "")
     entries = []
@@ -420,6 +438,7 @@ def _cmd_autos(args, g, report, lines) -> bool:
 def _cmd_evolve(args, g, report, lines) -> bool:
     _check_vertex(g, args.source, "source")
     sd = decompose(g)
+    _check_time(sd, args.t_max, "--t-max", args.eff_tol)
     times = np.linspace(0.0, args.t_max, args.steps)
     cols = propagator_column(sd, args.source, times[:, None])
     rows = np.column_stack([times, (cols.conjugate() * cols).real.T]).tolist()

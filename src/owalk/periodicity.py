@@ -14,6 +14,7 @@ common square-free Delta; with g = gcd(b_r), the minimal period is
 from __future__ import annotations
 
 import math
+import random
 from dataclasses import dataclass
 
 import numpy as np
@@ -104,8 +105,9 @@ def verify_period(sd: SpectralDecomposition, cert: PeriodicityCertificate) -> bo
     beyond factors 2, 3, 5 and 7 rests on the exact certificate.
     """
     a = cert.vertex
-    spots = np.random.default_rng(_SPOT_CHECK_SEED + a).uniform(0.0, cert.sigma, _SPOT_CHECK_COUNT)
-    times = [*(cert.sigma / p for p in (1, 2, 3, 5, 7)), *spots]
+    rng = random.Random(_SPOT_CHECK_SEED + a)
+    times = [cert.sigma / p for p in (1, 2, 3, 5, 7)]
+    times += [rng.uniform(0.0, cert.sigma) for _ in range(_SPOT_CHECK_COUNT)]
     cols = propagator_column(sd, a, np.array(times)[:, None])
     e_a = (np.arange(sd.n) == a)[:, None, None]
     dist = np.linalg.norm(cols[:, :, None] - e_a * [1.0, -1.0], axis=0)  # from +e_a, -e_a

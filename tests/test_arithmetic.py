@@ -150,22 +150,23 @@ def test_char_poly_structure_guard(tmp_path, monkeypatch):
     g = paley_tournament(q)
     assert char_poly(g).coeffs[mid] == 0
     real = owalk.arithmetic._char_poly_mod
-    calls = []
+    drawn = []
 
-    def off_by_one(a, p):
-        residues = real(a, p)
-        calls.append(p)
-        if len(calls) == 3:
-            residues[mid] = (residues[mid] + 1) % p
+    def off_by_one(a, primes):
+        residues = real(a, primes)
+        for p, row in zip(primes, residues):
+            drawn.append(p)
+            if len(drawn) == 3:
+                row[mid] = (row[mid] + 1) % p
         return residues
 
     monkeypatch.setattr(owalk.arithmetic, "_char_poly_mod", off_by_one)
     with pytest.raises(InconsistentExactCheckError):
         char_poly(g)
-    assert len(calls) == 4
+    assert len(drawn) == 4
     path = tmp_path / "paley43.og"
     path.write_text(serialize_graph(g))
-    calls.clear()
+    drawn.clear()
     with redirect_stderr(io.StringIO()) as err:
         assert main(["spectrum", str(path)]) == 3
     assert "InconsistentExactCheckError" in err.getvalue()
@@ -216,13 +217,75 @@ def test_char_poly_agrees_with_a_prime_outside_the_lift(monkeypatch):
     real = owalk.arithmetic._char_poly_mod
     used = []
     monkeypatch.setattr(
-        owalk.arithmetic, "_char_poly_mod", lambda a, p: used.append(p) or real(a, p)
+        owalk.arithmetic, "_char_poly_mod", lambda a, primes: used.extend(primes) or real(a, primes)
     )
     coeffs = char_poly(g).coeffs
     assert all((g.n + 1) * (p - 1) ** 2 < 2**63 for p in used)
     fresh = owalk.arithmetic._prime_below(min(used))  # the primes are drawn largest first
     assert all(sympy.isprime(p) for p in used + [fresh])
-    assert [c % fresh for c in coeffs] == real(g.adjacency, fresh).tolist()
+    assert [c % fresh for c in coeffs] == real(g.adjacency, [fresh])[0]
+
+
+def _primes_from_ceiling(n, count):
+    primes = [math.isqrt((2**63 - 1) // (n + 1))]
+    while len(primes) <= count:
+        primes.append(owalk.arithmetic._prime_below(primes[-1]))
+    return primes[1:]
+
+
+def test_group_residues_equal_single_prime_residues():
+    # one Hessenberg pass over a stack of primes gives each prime the residues
+    # of its own pass, whichever row the group's first prime pivots on
+    rng = np.random.default_rng(2110)
+    graphs = [random_oriented_graph(rng, n) for n in (8, 32, 64, 128)]
+    graphs += [paley_tournament(43), k3_power(4)]
+    for g in graphs:
+        primes = _primes_from_ceiling(g.n, 5)
+        single = [owalk.arithmetic._char_poly_mod(g.adjacency, [p])[0] for p in primes]
+        assert owalk.arithmetic._char_poly_mod(g.adjacency, primes) == single, g.n
+        assert owalk.arithmetic._char_poly_mod(g.adjacency, primes[::-1]) == single[::-1], g.n
+
+
+def test_group_recomputes_a_prime_that_cannot_share_the_pivot(monkeypatch):
+    # column 0 below the diagonal is (p2, 1, 2): the first prime pivots on row 1,
+    # where the second prime has a 0 over a nonzero column; the second prime
+    # alone pivots on row 2 and still matches sympy, as the others do
+    p1, p2, p3 = _primes_from_ceiling(4, 3)
+    a = np.array([[0, 0, 0, 5], [p2, 0, 7, 0], [1, 3, 0, 0], [2, 0, 0, 1]], dtype=np.int64)
+    exact = [int(c) for c in reversed(sympy.Matrix(a.tolist()).charpoly().all_coeffs())]
+    real = owalk.arithmetic._char_poly_mod
+    passes = []
+
+    def spy(a, primes):
+        passes.append(primes)
+        return real(a, primes)
+
+    monkeypatch.setattr(owalk.arithmetic, "_char_poly_mod", spy)
+    got = owalk.arithmetic._char_poly_mod(a, [p1, p2, p3])
+    assert got == [[c % p for c in exact] for p in (p1, p2, p3)]
+    assert passes == [[p1, p2, p3], [p2]]
+
+
+@pytest.mark.parametrize("n", [3, 64, 128, 256, 512])
+def test_pass_sizes(n, monkeypatch):
+    # a pass of k > 1 primes holds k n x n int64 matrices within _GROUP_ENTRIES:
+    # every prime of n <= 64 in one pass, one prime per pass from n = 256 up
+    passes = []
+
+    def zeros(a, primes):  # no characteristic polynomial, so char_poly raises
+        passes.append(len(primes))
+        return [[0] * (n + 1) for _ in primes]
+
+    monkeypatch.setattr(owalk.arithmetic, "_char_poly_mod", zeros)
+    with pytest.raises(InconsistentExactCheckError):
+        char_poly(random_oriented_graph(np.random.default_rng(n), n))
+    assert all(k * n * n <= owalk.arithmetic._GROUP_ENTRIES for k in passes if k > 1)
+    if n <= 64:
+        assert len(passes) == 1
+    if n == 128:  # 15 primes, 6 per pass
+        assert passes == [6, 6, 3]
+    if n >= 256:
+        assert set(passes) == {1}
 
 
 def test_int_polynomial_basics():

@@ -257,6 +257,13 @@ def test_usage_errors_exit_2(tmp_path):
         # |U(t)[b, a]| = 1 - r^2/2 for residual r, so a tolerance of 1 or
         # more would accept a target that holds a quarter of the probability
         ("pst", "k3", "0", "1", "--time", "1", "--tol", "1e300"),
+        # times t with t * max|y| * 2^-52 above the tolerance or the realness
+        # bound 1e-8: the phase t*y has lost the precision a verdict needs
+        # (k3's bound is t = 2.6e7, so 1e7 is refused for its candidate count)
+        ("pst", "mst8", "0", "1", "--time", "1e17"),
+        ("pst", "mst8", "0", "1", "--time=-1e17"),
+        ("evolve", "mst8", "--source", "0", "--t-max", "1e308", "--steps", "2"),
+        ("pst", "k3", "0", "1", "--t-max", "1e7"),
         # one verified time has no horizon: --t-max would be silently unused
         ("pst", "k3", "--time", "1", "0", "1", "--t-max", "5"),
     ]:
@@ -264,6 +271,26 @@ def test_usage_errors_exit_2(tmp_path):
         assert proc.returncode == 2, (args, proc.returncode, proc.stderr)
         assert "InputError" in proc.stderr, (args, proc.stderr)
     assert "--time" in proc.stderr and "--t-max" in proc.stderr, proc.stderr
+
+
+def test_time_past_the_rounding_bound_exits_2(capsys):
+    # mst8 has max|y| = 4, so a phase t*y rounds by up to 4t * 2^-52; past
+    # 1e-8 (the realness check, tighter than the default tolerance 1e-7) at
+    # t = 1e-8 * 2^52 / 4 = 1.1259e7 a time is refused.  Under the tolerance
+    # alone (t = 1.1e8) the column's imaginary parts reach 5e-8: exit 3
+    for argv in (
+        ["pst", "mst8", "0", "1", "--time", "1.1e8"],
+        ["evolve", "mst8", "--source", "0", "--t-max", "2e7", "--steps", "2"],
+    ):
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: InputError:") and "past 1.1259e+07" in err, err
+    assert main(["pst", "mst8", "0", "1", "--time", "1.1e7"]) == 0
+    assert main(["evolve", "mst8", "--source", "0", "--t-max", "1.1e7", "--steps", "2"]) == 0
+    # a looser tolerance keeps the realness bound; a tighter one lowers it
+    assert main(["pst", "mst8", "0", "1", "--time", "1.2e7", "--tol", "1e-3"]) == 2
+    assert main(["pst", "mst8", "0", "1", "--time", "1.2e6", "--tol", "1e-9"]) == 2
+    assert "past 1.1259e+06" in capsys.readouterr().err
 
 
 def test_unallocatable_vertex_count_exits_2(tmp_path):

@@ -1,13 +1,19 @@
 import math
+import subprocess
+import sys
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
+import owalk.arithmetic
 import owalk.graph
 from owalk import build_graph, builtin_example, decompose, eigenvalue_support, is_periodic
 from owalk import mst_search, verify_period
 from owalk.errors import DisconnectedGraphError
 from owalk.spectral import propagator_column
+
+from conftest import paley_tournament
 
 
 def _cert(sd, v):
@@ -171,3 +177,33 @@ def test_connectivity_decided_once_per_decomposition(monkeypatch):
             is_periodic(sd, eigenvalue_support(sd, v))
     mst_search(sd)  # reads each vertex's periodicity through is_periodic
     assert len(calls) == 1
+
+
+def test_reduced_polynomial_built_once_per_decomposition(monkeypatch):
+    # the cross-check reads q(z) with det(xI - A) = x^m q(x^2); once the first
+    # verdict has built it, a second verdict builds no IntPolynomial at all
+    sd = decompose(paley_tournament(23))
+    first = is_periodic(sd, eigenvalue_support(sd, 0))
+    built = []
+    real = owalk.arithmetic.IntPolynomial.__post_init__
+
+    def spy(self):
+        built.append(self)
+        real(self)
+
+    monkeypatch.setattr(owalk.arithmetic.IntPolynomial, "__post_init__", spy)
+    assert is_periodic(sd, eigenvalue_support(sd, 5)) == replace(first, vertex=5)
+    assert built == []
+
+
+def test_verify_period_leaves_numpy_random_unloaded():
+    # the spot times come from the stdlib: importing numpy.random would cost
+    # every `owalk periodic` run about 13 ms
+    code = (
+        "import sys; from owalk.cli import main; rc = main(['periodic', 'k3', '0']); "
+        "print(rc, 'numpy.random' in sys.modules)"
+    )
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert "verified numerically" in proc.stdout
+    assert proc.stdout.splitlines()[-1] == "0 False"
