@@ -41,7 +41,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import SearchBudgetExceededError, VerificationFailedError
-from .graph import OrientedGraph, _components
+from .graph import OrientedGraph, _check_vertex, _components
 
 __all__ = [
     "SwitchingAutomorphism",
@@ -107,6 +107,7 @@ def _compose(
 
 def orbit(p: SwitchingAutomorphism, a: int) -> tuple[int, ...]:
     """Vertices a, p(a), p(p(a)), ... until the cycle closes."""
+    _check_vertex(len(p.perm), a)
     out = [a]
     w = p.perm[a]
     while w != a:

@@ -20,6 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .graph import _check_vertex
 from .spectral import SpectralDecomposition
 
 __all__ = [
@@ -68,6 +69,7 @@ def _members(norms: np.ndarray, threshold: float) -> np.ndarray:
 
 def eigenvalue_support(sd: SpectralDecomposition, a: int) -> EigenvalueSupport:
     """Support of vertex ``a``: eigenvalue indices whose idempotent sees it."""
+    _check_vertex(sd.n, a)
     threshold = default_support_threshold(sd.n)
     members = tuple(_members(sd.class_norms(sd.vectors[a]), threshold).tolist())
     return EigenvalueSupport(vertex=a, members=members, threshold=threshold)
@@ -84,6 +86,7 @@ def strong_cospectrality(
     Returns None when the supports differ or some idempotent fails the
     unimodular-multiple relation beyond ``tol``.
     """
+    _check_vertex(sd.n, a, b)
     threshold = default_support_threshold(sd.n)
     row_a, row_b = sd.vectors[a], sd.vectors[b]
     members = _members(sd.class_norms(row_a), threshold)

@@ -109,6 +109,13 @@ class OrientedGraph:
         return f"OrientedGraph(n={self.n}, edges={list(self.edges)})"
 
 
+def _check_vertex(n: int, *vertices: int) -> None:
+    """Refuse a vertex index outside [0, n), which numpy would wrap or fail on."""
+    for v in vertices:
+        if not 0 <= v < n:
+            raise VertexOutOfRangeError(f"vertex {v} out of range for n = {n}")
+
+
 def build_graph(n: int, edges: Sequence[tuple[int, int]]) -> OrientedGraph:
     """Validate and build an oriented graph from an edge list."""
     return OrientedGraph(n, edges)

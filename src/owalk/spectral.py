@@ -23,8 +23,8 @@ from functools import cached_property
 import numpy as np
 
 from . import arithmetic
-from .errors import AmbiguousGroupingError, EigensolverFailureError
-from .graph import OrientedGraph, is_connected
+from .errors import AmbiguousGroupingError, EigensolverFailureError, InputError
+from .graph import OrientedGraph, _check_vertex, is_connected
 
 __all__ = [
     "SpectralDecomposition",
@@ -32,6 +32,7 @@ __all__ = [
 ]
 
 DEFAULT_GROUPING_TOL = 1e-8
+REALNESS_TOL = 1e-8  # imaginary parts a real column U(t) e_a may carry
 
 
 def cluster_values(values: np.ndarray, tol: float) -> list[list[int]]:
@@ -75,6 +76,7 @@ class SpectralDecomposition:
 
     def pair_coeffs(self, a: int, b: int) -> np.ndarray:
         """E_r[b, a] over r, so that U(t)[b, a] = sum_r exp(-i*t*y_r) * E_r[b, a]."""
+        _check_vertex(self.n, a, b)
         v = self.vectors
         return np.add.reduceat(v[b] * v[a].conj(), self.starts)
 
@@ -124,8 +126,25 @@ def decompose(g: OrientedGraph) -> SpectralDecomposition:
     )
 
 
+def _check_time(sd: SpectralDecomposition, t: float | np.ndarray, tol: float = REALNESS_TOL) -> None:
+    """Refuse a non-finite time t, or one past min(tol, REALNESS_TOL) / (rho * 2^-52): the
+    phases t*y with |y| <= rho, and U(t) e_a built from them, round by up to |t| * rho * 2^-52."""
+    reach = float(abs(t).max(initial=0.0)) if isinstance(t, np.ndarray) else abs(float(t))
+    y, limit = sd.eigenvalues, min(tol, REALNESS_TOL)
+    rho = max(-float(y[0]), float(y[-1])) if len(y) else 0.0
+    if not reach < np.inf:
+        raise InputError(f"time {reach!r} is not finite")
+    if reach * rho * 2.0**-52 > limit:
+        raise InputError(
+            f"|t| = {reach!r} is past {limit * 2**52 / rho:.6g}, the longest time at which "
+            f"the phases t*y (|y| <= {rho:.6g}) round by less than {limit!r}"
+        )
+
+
 def propagator_column(sd: SpectralDecomposition, a: int, t: float | np.ndarray) -> np.ndarray:
     """Column a of U(t), the state reached from vertex ``a``, complex; n x K for K x 1 times."""
+    _check_vertex(sd.n, a)
+    _check_time(sd, t)
     # row b of the C-ordered n x R matrix is E_r[b, a] and each time takes its own matrix-
     # vector product; the reported bits, alike alone or in a batch, hinge on this layout
     v = sd.vectors

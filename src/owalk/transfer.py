@@ -48,8 +48,9 @@ from .errors import (
     NonRealResultError,
     VerificationFailedError,
 )
+from .graph import _check_vertex
 from .periodicity import PeriodicityCertificate, is_periodic
-from .spectral import SpectralDecomposition, propagator_column
+from .spectral import REALNESS_TOL, SpectralDecomposition, _check_time, propagator_column
 
 __all__ = [
     "TransferCertificate",
@@ -66,7 +67,6 @@ MAX_SCAN_CANDIDATES = 200_000
 SCAN_BLOCK = 1024  # candidate times per array pass of scan_pst
 DEFAULT_PST_TOL = 1e-7
 DEFAULT_PARITY_TOL = 1e-6
-REALNESS_TOL = 1e-8
 
 
 @dataclass(frozen=True)
@@ -110,20 +110,21 @@ def verify_pst(
     The realized column must be real (transfer phases are +-1, never a
     general unimodular number, and NonRealResultError is raised otherwise);
     the better of the two signs is kept when its residual beats ``tol``.
+    A vertex outside [0, n), or a ``tau`` whose phases round past ``tol``, raises InputError.
     """
-    return next(iter(_verify_times(sd, a, b, [tau], tol, method, [])), None)
+    _check_vertex(sd.n, a, b)
+    _check_time(sd, tau, tol)
+    return next(iter(_verify_times(sd, a, b, [tau], tol, method)), None)
 
 
 def _verify_times(
-    sd: SpectralDecomposition, a: int, b: int | list[int], times: list, tol: float,
-    method: str, certificates: list,
+    sd: SpectralDecomposition, a: int, b: int | list[int], times: list, tol: float, method: str
 ) -> list[TransferCertificate]:
-    """Append the transfers a -> b verified at ``times`` to ``certificates``; return it.
+    """The transfers a -> b verified at ``times``, in the order of the times.
 
     ``b`` is one target for every time or a list of one target per time.  One
-    product gives the columns U(t) e_a of all K times.  A time within 1e-8 of
-    the last certificate is the same event and is skipped unchecked; a checked
-    column that is not real raises NonRealResultError.
+    product gives the columns U(t) e_a of all K times; a column that is not
+    real raises NonRealResultError.
     """
     cols = propagator_column(sd, a, np.array(times)[:, None])
     rows, targets = np.arange(len(times)), np.broadcast_to(b, len(times))
@@ -133,9 +134,8 @@ def _verify_times(
     # (K, 2, 1, n) @ (K, 2, n, 1) takes one BLAS dot per row, as np.linalg.norm does
     norms = np.sqrt(diffs[:, :, None] @ diffs[..., None]).reshape(-1, 2).tolist()
     imags = abs(cols.imag).max(axis=0).tolist()
+    certificates = []
     for tau, target, imag, (rp, rm) in zip(times, targets.tolist(), imags, norms):
-        if certificates and abs(tau - certificates[-1].time) < 1e-8:
-            continue
         if not imag < REALNESS_TOL:
             raise NonRealResultError(
                 f"propagator column at t = {tau!r} carries imaginary parts up to {imag:.3e}"
@@ -214,10 +214,11 @@ def scan_pst(
     the only candidate times are t*|y_r0|/pi = offset + j for integers
     j >= 0.  In blocks of SCAN_BLOCK, the parity test of ``first_char_check``
     keeps those where every v_r shares one parity, Newton polishes them,
-    and ``verify_pst``'s criteria verify the polished times.  ``grid`` caps
-    the number of candidate times: a longer scan raises InputError instead
-    of being cut short.  Certificates are sorted by time.
+    and ``verify_pst``'s criteria verify the polished times.  A ``t_max`` past
+    ``verify_pst``'s time bound (checked first), or more than ``grid`` candidate
+    times, raises InputError instead of a short scan.  Certificates are sorted by time.
     """
+    _check_time(sd, t_max, tol)
     cospec = strong_cospectrality(sd, a, b, tol=tol)
     if cospec is None:
         return []
@@ -249,7 +250,7 @@ def scan_pst(
         kept = taus[_parity_of(q - taus[:, None] * ys / math.pi) >= 0]
         if kept.size:
             polished = _refine_peak(coeffs, y, kept).tolist()
-            _verify_times(sd, a, b, polished, tol, "scan", certificates)
+            certificates += _verify_times(sd, a, b, polished, tol, "scan")
     return certificates
 
 
@@ -304,7 +305,7 @@ def complete_char(
     for i in range(k):
         js = [j for j in range(k) if j != i]
         times = [((j - i) * m_inv % k) * tau for j in js]
-        certs = _verify_times(sd, orb[i], [orb[j] for j in js], times, tol, "direct", [])
+        certs = _verify_times(sd, orb[i], [orb[j] for j in js], times, tol, "direct")
         found = {cert.target: cert for cert in certs}
         for j, t_ij in zip(js, times):
             if orb[j] not in found:
@@ -333,7 +334,10 @@ def mst_search(
     once per pair (a, p(a)) and periodicity once per a; negative verdicts
     are skipped, numeric verification failures propagate.  A set already
     certified is not tried again: its base time sigma/k is fixed by the set.
+    A ``vertex`` outside [0, n) is refused before the group is listed.
     """
+    if vertex is not None:
+        _check_vertex(sd.n, vertex)
     cospecs: dict[tuple[int, int], CospectralityCertificate | None] = {}
     periods: dict[int, PeriodicityCertificate | None] = {}
     best: dict[frozenset[int], MSTCertificate] = {}

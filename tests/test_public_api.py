@@ -1,4 +1,5 @@
-"""Every exported function and class member is reached by the program or documented.
+"""Every exported function and class member is reached by the program or documented,
+and every exported entry point that takes a vertex refuses one out of range.
 
 A function in ``owalk.__all__`` that no module of ``src/owalk`` calls
 outside its own definition, and that the README does not name, is code
@@ -10,9 +11,14 @@ as ``x.name`` in ``src/owalk`` or named so in the README.
 import ast
 import inspect
 import re
+import signal
+from contextlib import contextmanager
 from pathlib import Path
 
+import pytest
+
 import owalk
+from owalk.errors import VertexOutOfRangeError
 
 SRC = Path(owalk.__file__).parent
 README = Path(__file__).resolve().parents[1] / "README.md"
@@ -119,3 +125,51 @@ def test_exported_class_members_are_read_or_documented():
         and not re.search(rf"\.{re.escape(attr)}\b", readme)
     ]
     assert orphans == [], f"members never read in src/owalk and not in the README: {orphans}"
+
+
+VERTEX_PARAMETERS = {"a": 0, "b": 1, "vertex": 0, "source": 0}  # in range on k3
+
+
+@contextmanager
+def _within(seconds: float):
+    """Raise TimeoutError in the block once ``seconds`` of wall time have passed."""
+
+    def expire(signum, frame):
+        raise TimeoutError(f"no answer within {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.setitimer(signal.ITIMER_REAL, seconds)
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+def test_every_vertex_parameter_refuses_out_of_range_vertices():
+    # numpy reads index -1 as the last vertex and index n as an IndexError, and a
+    # cycle walk from a vertex no image equals never ends: the library refuses both
+    # as VertexOutOfRangeError, within a second, at every entry point found here
+    g = owalk.builtin_example("k3")
+    sd = owalk.decompose(g)
+    rotation = next(p for p in owalk.find_switching_automorphisms(g) if p.perm != (0, 1, 2))
+    values = {"sd": sd, "p": rotation, "t": 1.0, "tau": 1.0, **VERTEX_PARAMETERS}
+    functions = {name: getattr(owalk, name) for name in owalk.__all__}
+    entry_points = {
+        name: fn
+        for name, fn in [*functions.items(), ("SpectralDecomposition.pair_coeffs", sd.pair_coeffs)]
+        if inspect.isroutine(fn) and VERTEX_PARAMETERS.keys() & inspect.signature(fn).parameters
+    }
+    assert {
+        "eigenvalue_support", "strong_cospectrality", "propagator_column", "verify_pst",
+        "scan_pst", "mst_search", "orbit", "SpectralDecomposition.pair_coeffs",
+    } <= entry_points.keys()
+    for name, fn in entry_points.items():
+        params = inspect.signature(fn).parameters
+        args = {p: values[p] for p in params if p in values}
+        missing = [p for p in params.keys() - args.keys() if params[p].default is params[p].empty]
+        assert not missing, f"{name}: give this test an argument for {missing}"
+        for param in params.keys() & VERTEX_PARAMETERS.keys():
+            for bad in (-1, g.n):
+                with pytest.raises(VertexOutOfRangeError), _within(1.0):
+                    fn(**{**args, param: bad})

@@ -26,7 +26,7 @@ from owalk import (
 )
 from owalk.cli import main
 from owalk.cospectral import default_support_threshold
-from owalk.errors import AmbiguousGroupingError, NonRealResultError
+from owalk.errors import AmbiguousGroupingError, InputError, NonRealResultError
 from owalk.spectral import cluster_values, propagator_column
 
 from conftest import (
@@ -282,6 +282,15 @@ def test_evolve_probabilities_match_mpmath_expm(name):
                         exact[t] = mpmath.expm(-mpmath.mpf(t) * a)
                 for b, p in enumerate(probs):
                     assert abs(p - float(exact[t][b, source] ** 2)) <= 2e-15
+
+
+def test_propagator_column_refuses_times_past_the_rounding_bound(mst8_sd):
+    # past t = 1e-8 * 2^52 / 4 = 1.1259e7 the phases t*y of mst8 round by more
+    # than the realness bound, whatever tolerance a caller verifies against
+    for t in (2e7, -2e7, math.nan, np.array([[0.0], [2e7]]), np.array([[1.0], [math.inf]])):
+        with pytest.raises(InputError, match="past|not finite"):
+            propagator_column(mst8_sd, 0, t)
+    assert propagator_column(mst8_sd, 0, np.array([[0.0], [1.1e7]])).shape == (8, 2)
 
 
 def test_cluster_values_groups_mst8():

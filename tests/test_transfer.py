@@ -234,6 +234,26 @@ def test_scan_refuses_too_many_candidates(k3_sd):
     assert len(scan_pst(k3_sd, 0, 1, t_max=100.0, grid=100)) == 28
 
 
+def test_times_past_the_rounding_bound_are_input_errors(mst8_sd):
+    # mst8 has max|y| = 4: a phase t*y rounds by up to 4t * 2^-52, past the
+    # realness bound 1e-8 at t = 1.1259e7.  At 1.1e8 the column's imaginary
+    # parts would reach 5e-8, which is the user's time, not an internal fault
+    for tau in (1.1e8, -1.1e8, math.nan, math.inf):
+        with pytest.raises(InputError, match="past|not finite"):
+            verify_pst(mst8_sd, 0, 1, tau)
+    assert verify_pst(mst8_sd, 0, 1, 1.1e7) is None
+    with pytest.raises(InputError, match="past 1.1259e"):
+        verify_pst(mst8_sd, 0, 1, 1.2e6, tol=1e-9)
+    # the horizon is refused before the cospectrality test: k3^3's 0 and 1 are
+    # not strongly cospectral, and still a horizon of 1e17 is no answer
+    sd = decompose(k3_power(3))
+    assert strong_cospectrality(sd, 0, 1) is None
+    with pytest.raises(InputError, match="past"):
+        scan_pst(sd, 0, 1, t_max=1e17)
+    with pytest.raises(InputError, match="not finite"):
+        scan_pst(sd, 0, 1, t_max=math.nan)
+
+
 def test_scan_refuses_isolated_vertex():
     # an isolated vertex never moves, so every time would be a return
     sd = decompose(build_graph(3, [(0, 1)]))
