@@ -61,6 +61,7 @@ class SwitchingAutomorphism:
     signs: tuple[int, ...]
 
     def apply(self, a: int) -> int:
+        _check_vertex(len(self.perm), a)
         return self.perm[a]
 
     def cycles(self) -> tuple[tuple[int, ...], ...]:

@@ -14,7 +14,6 @@ common square-free Delta; with g = gcd(b_r), the minimal period is
 from __future__ import annotations
 
 import math
-import random
 from dataclasses import dataclass
 
 import numpy as np
@@ -22,11 +21,12 @@ import numpy as np
 from . import arithmetic
 from .cospectral import EigenvalueSupport
 from .errors import DisconnectedGraphError
-from .spectral import SpectralDecomposition, propagator_column
+from .graph import _check_vertex
+from .spectral import SpectralDecomposition, _check_time
 
 __all__ = ["PeriodicityCertificate", "is_periodic", "verify_period"]
 
-_SPOT_CHECK_SEED = 20260817
+_GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 _SPOT_CHECK_COUNT = 16
 _PERIOD_TOL = 1e-7
 
@@ -98,18 +98,21 @@ def is_periodic(
 def verify_period(sd: SpectralDecomposition, cert: PeriodicityCertificate) -> bool:
     """Numerically confirm the certificate's period, and that sigma/p is none for p = 2, 3, 5, 7.
 
-    One product gives U(t) e_a at sigma / p for p = 1, 2, 3, 5, 7 and at 16 seeded
-    random times in (0, sigma).  Checks ||U(sigma) e_a - phase * e_a|| < tol with
-    tol = 1e-7, and that at the other 20 times the walker is far (> 10*tol) from
-    both +e_a and -e_a.  So a period taken 2, 3, 5 or 7 times fails; minimality
-    beyond factors 2, 3, 5 and 7 rests on the exact certificate.
+    With w_r = ||E_r e_a||^2, U(t)[a, a] = sum_r w_r cos(t*y_r) (U is real) and
+    ||U(t) e_a -+ e_a||^2 = sum_r w_r -+ 2 U(t)[a, a] + 1, read in one (21 x R) product at
+    sigma / p for p = 1, 2, 3, 5, 7 and at 16 spot times in (0, sigma), fixed per vertex.
+    Checks ||U(sigma) e_a - phase * e_a|| < tol = 1e-7, and that at the other 20 times the
+    walker is far (> 10*tol) from both +e_a and -e_a.  So a period taken 2, 3, 5 or 7 times
+    fails; minimality beyond factors 2, 3, 5 and 7 rests on the exact certificate.
     """
     a = cert.vertex
-    rng = random.Random(_SPOT_CHECK_SEED + a)
-    times = [cert.sigma / p for p in (1, 2, 3, 5, 7)]
-    times += [rng.uniform(0.0, cert.sigma) for _ in range(_SPOT_CHECK_COUNT)]
-    cols = propagator_column(sd, a, np.array(times)[:, None])
-    e_a = (np.arange(sd.n) == a)[:, None, None]
-    dist = np.linalg.norm(cols[:, :, None] - e_a * [1.0, -1.0], axis=0)  # from +e_a, -e_a
-    far = (dist[1:] > 10 * _PERIOD_TOL).all()
-    return bool(dist[0, (1 - cert.phase) // 2] < _PERIOD_TOL and far)
+    _check_vertex(sd.n, a)
+    _check_time(sd, cert.sigma)
+    w = sd.class_norms(sd.vectors[a]) ** 2
+    # a golden-ratio (Weyl) sequence from a, in [0.01, 0.99): clear of the returns at 0 and sigma
+    spots = [0.01 + 0.98 * ((a + j) * _GOLDEN % 1.0) for j in range(1, _SPOT_CHECK_COUNT + 1)]
+    times = np.array([cert.sigma / p for p in (1, 2, 3, 5, 7)] + [cert.sigma * f for f in spots])
+    back, *others = (np.cos(times[:, None] * sd.eigenvalues) @ w).tolist()
+    total = float(w.sum()) + 1.0
+    near = total - 2.0 * cert.phase * back < _PERIOD_TOL**2  # squared distances
+    return near and total - 2.0 * max(map(abs, others)) > (10 * _PERIOD_TOL) ** 2

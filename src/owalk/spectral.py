@@ -126,6 +126,12 @@ def decompose(g: OrientedGraph) -> SpectralDecomposition:
     )
 
 
+def _check_tol(tol: float) -> None:
+    """Refuse a tolerance that is not a finite number in (0, 1); nan compares false against it."""
+    if not 0.0 < tol < 1.0:
+        raise InputError(f"tol must be a finite number in (0, 1), got {tol!r}")
+
+
 def _check_time(sd: SpectralDecomposition, t: float | np.ndarray, tol: float = REALNESS_TOL) -> None:
     """Refuse a non-finite time t, or one past min(tol, REALNESS_TOL) / (rho * 2^-52): the
     phases t*y with |y| <= rho, and U(t) e_a built from them, round by up to |t| * rho * 2^-52."""

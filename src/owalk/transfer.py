@@ -50,7 +50,7 @@ from .errors import (
 )
 from .graph import _check_vertex
 from .periodicity import PeriodicityCertificate, is_periodic
-from .spectral import REALNESS_TOL, SpectralDecomposition, _check_time, propagator_column
+from .spectral import REALNESS_TOL, SpectralDecomposition, _check_time, _check_tol, propagator_column
 
 __all__ = [
     "TransferCertificate",
@@ -107,12 +107,13 @@ def verify_pst(
 ) -> TransferCertificate | None:
     """Certificate that U(tau) e_a = phase * e_b, or None.
 
-    The realized column must be real (transfer phases are +-1, never a
-    general unimodular number, and NonRealResultError is raised otherwise);
-    the better of the two signs is kept when its residual beats ``tol``.
-    A vertex outside [0, n), or a ``tau`` whose phases round past ``tol``, raises InputError.
+    The realized column must be real (transfer phases are +-1, never a general unimodular
+    number, and NonRealResultError is raised otherwise); the better of the two signs is kept
+    when its residual beats ``tol``.  A vertex outside [0, n), a ``tol`` outside (0, 1) or a
+    ``tau`` whose phases round past ``tol`` raises InputError.
     """
     _check_vertex(sd.n, a, b)
+    _check_tol(tol)
     _check_time(sd, tau, tol)
     return next(iter(_verify_times(sd, a, b, [tau], tol, method)), None)
 
@@ -214,10 +215,11 @@ def scan_pst(
     the only candidate times are t*|y_r0|/pi = offset + j for integers
     j >= 0.  In blocks of SCAN_BLOCK, the parity test of ``first_char_check``
     keeps those where every v_r shares one parity, Newton polishes them,
-    and ``verify_pst``'s criteria verify the polished times.  A ``t_max`` past
-    ``verify_pst``'s time bound (checked first), or more than ``grid`` candidate
-    times, raises InputError instead of a short scan.  Certificates are sorted by time.
+    and ``verify_pst``'s criteria verify the polished times.  A ``tol`` outside (0, 1), a
+    ``t_max`` past ``verify_pst``'s time bound (both checked first), or more than ``grid``
+    candidate times raises InputError instead of a short scan.  Certificates are sorted by time.
     """
+    _check_tol(tol)
     _check_time(sd, t_max, tol)
     cospec = strong_cospectrality(sd, a, b, tol=tol)
     if cospec is None:
@@ -277,8 +279,9 @@ def complete_char(
     phase of the parity times the sign factor of p (module docstring);
     every ordered orbit pair is then verified numerically, one product per
     orbit source, and any numeric failure after a parity pass raises
-    VerificationFailedError.
+    VerificationFailedError.  A ``tol`` outside (0, 1) raises InputError.
     """
+    _check_tol(tol)
     if cospec is None or period is None:
         return None
     a = cospec.a
@@ -334,8 +337,9 @@ def mst_search(
     once per pair (a, p(a)) and periodicity once per a; negative verdicts
     are skipped, numeric verification failures propagate.  A set already
     certified is not tried again: its base time sigma/k is fixed by the set.
-    A ``vertex`` outside [0, n) is refused before the group is listed.
+    A ``vertex`` outside [0, n) or a ``tol`` outside (0, 1) is refused before the group is listed.
     """
+    _check_tol(tol)
     if vertex is not None:
         _check_vertex(sd.n, vertex)
     cospecs: dict[tuple[int, int], CospectralityCertificate | None] = {}

@@ -2,6 +2,7 @@ import argparse
 import cmath
 import json
 import math
+import random
 
 import numpy as np
 import pytest
@@ -19,6 +20,7 @@ from owalk import __version__, first_char_check, strong_cospectrality, verify_ps
 from owalk import CospectralityCertificate
 from owalk import transfer
 from owalk.graph import BUILTIN_NAMES, _components
+from owalk.spectral import propagator_column
 from owalk.transfer import DEFAULT_PARITY_TOL, DEFAULT_PST_TOL, MAX_SCAN_CANDIDATES
 from owalk.errors import (
     DisconnectedGraphError,
@@ -110,6 +112,18 @@ def random_connected_graph(rng, n_max=5, p=0.6):
         g = random_oriented_graph(rng, n, p)
         if is_connected(g):
             return g
+
+
+def class_weight_corpus():
+    """Graphs for the class-weight equivalence tests: the builtins, C3-C12, Paley 7, 11, 19,
+    23 and 43, k3^2, k3^3, and 12 seeded random graphs each of n = 6, 9, 16 and 32."""
+    graphs = [builtin_example(name) for name in BUILTIN_NAMES]
+    graphs += [build_graph(n, [(i, (i + 1) % n) for i in range(n)]) for n in range(3, 13)]
+    graphs += [paley_tournament(q) for q in (7, 11, 19, 23, 43)]
+    graphs += [k3_power(2), k3_power(3)]
+    rng = np.random.default_rng(23)
+    graphs += [random_oriented_graph(rng, n, p=0.5) for n in (6, 9, 16, 32) for _ in range(12)]
+    return graphs
 
 
 @pytest.fixture(scope="session")
@@ -240,6 +254,59 @@ def scalar_strong_cospectrality(sd, a, b, tol=1e-7):
     if residual > tol:
         return None
     return CospectralityCertificate(a, b, support, alphas, quarrels, residual)
+
+
+def reference_verify_period(sd, cert):
+    """owalk's ``verify_period`` as it read U(t) e_a through propagator columns; a test oracle.
+
+    One product gives the columns at sigma / p for p = 1, 2, 3, 5, 7 and at 16
+    seeded random times in (0, sigma), and np.linalg.norm measures each column's
+    distance from +e_a and -e_a.  ``verify_period`` reads the same distances from
+    the class weights of row a and must give the same verdict.
+    """
+    a = cert.vertex
+    rng = random.Random(20260817 + a)
+    times = [cert.sigma / p for p in (1, 2, 3, 5, 7)]
+    times += [rng.uniform(0.0, cert.sigma) for _ in range(16)]
+    cols = propagator_column(sd, a, np.array(times)[:, None])
+    e_a = (np.arange(sd.n) == a)[:, None, None]
+    dist = np.linalg.norm(cols[:, :, None] - e_a * [1.0, -1.0], axis=0)  # from +e_a, -e_a
+    far = (dist[1:] > 1e-6).all()
+    return bool(dist[0, (1 - cert.phase) // 2] < 1e-7 and far)
+
+
+def reference_strong_cospectrality(sd, a, b, tol=1e-7):
+    """owalk's ``strong_cospectrality`` before its class-norm refutation; a test oracle.
+
+    Every pair whose supports agree gets its alphas, quarrels and residual, and
+    only the residual refutes it.  ``strong_cospectrality`` refutes a pair whose
+    class norms on rows a and b differ by more than 2*tol first, and must return
+    the same certificate, repr for repr.
+    """
+    threshold = 1e-8 * sd.n
+    row_a, row_b = sd.vectors[a], sd.vectors[b]
+    members = np.flatnonzero(sd.class_norms(row_a) > threshold)
+    support = tuple(members.tolist())
+    if support != tuple(np.flatnonzero(sd.class_norms(row_b) > threshold).tolist()):
+        return None
+    inner = sd.pair_coeffs(a, b)[members]
+    re, im = inner.real, inner.imag
+    mag = np.hypot(re, im)
+    if mag.min() <= threshold * threshold:
+        return None
+    alpha = np.empty_like(inner)
+    alpha.real, alpha.imag = (re + im * 0.0) / mag, (im - re * 0.0) / mag
+    q = np.array(list(map(math.atan2, alpha.imag.tolist(), alpha.real.tolist()))) / math.pi
+    q[q <= -1.0] += 2.0
+    conj_alphas = np.zeros(len(sd.eigenvalues), dtype=complex)
+    conj_alphas[members] = alpha.conj()
+    mismatch = sd.class_norms(row_a - np.repeat(conj_alphas, sd.multiplicities) * row_b)
+    residual = float(mismatch[members].max())
+    if residual > tol:
+        return None
+    return CospectralityCertificate(
+        a, b, support, dict(zip(support, alpha.tolist())), dict(zip(support, q.tolist())), residual
+    )
 
 
 def scalar_scan_pst(sd, a, b, t_max, grid=MAX_SCAN_CANDIDATES, tol=DEFAULT_PST_TOL):

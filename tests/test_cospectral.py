@@ -1,11 +1,20 @@
 import cmath
 import math
+from dataclasses import replace
 
 import numpy as np
+import pytest
 
 from owalk import build_graph, builtin_example, decompose, eigenvalue_support, strong_cospectrality
 
-from conftest import k3_power, paley_tournament, random_oriented_graph, scalar_strong_cospectrality
+from conftest import (
+    class_weight_corpus,
+    k3_power,
+    paley_tournament,
+    random_oriented_graph,
+    reference_strong_cospectrality,
+    scalar_strong_cospectrality,
+)
 
 
 def test_k3_support_is_everything(k3_sd):
@@ -139,3 +148,35 @@ def test_whole_array_certificates_equal_the_scalar_oracle_on_random_graphs():
         pairs = [(v, v + m) for v in vs] + [(v + m, v) for v in vs] + [(v, v) for v in vs]
         pairs += [tuple(rng.integers(0, 2 * m, size=2).tolist()) for _ in range(30)]
         assert _matches_scalar_oracle(decompose(doubled), pairs) >= 30
+
+
+def test_class_norm_refutation_keeps_every_certificate():
+    # refuting a pair whose class norms differ by more than 2*tol changes no answer:
+    # certificates, alphas, quarrels and residuals equal the full path's, repr for repr
+    pairs = positive = 0
+    for g in class_weight_corpus():
+        sd = decompose(g)
+        for a in range(g.n):
+            for b in range(g.n):
+                if a != b:
+                    got, want = strong_cospectrality(sd, a, b), reference_strong_cospectrality(sd, a, b)
+                    assert repr(got) == repr(want), (g.n, a, b)
+                    pairs, positive = pairs + 1, positive + (want is not None)
+    assert pairs == 20240 and positive > 400
+
+
+@pytest.mark.parametrize("gap", [0.75, 1.5, 3.0])
+def test_class_norm_refutation_margin(k3_sd, gap):
+    # scale class 0 of row 0 so that its norm exceeds row 1's by gap * tol; the residual
+    # is then that gap, so a gap in (tol/2, tol] still has a certificate: a refutation at
+    # gap > tol/2 would lose it, and gaps past tol are refuted by either path
+    tol, r = 1e-7, 0
+    vectors = k3_sd.vectors.copy()
+    cls = slice(k3_sd.starts[r], k3_sd.starts[r + 1])
+    vectors[0, cls] *= 1.0 + gap * tol / np.linalg.norm(vectors[0, cls])
+    sd = replace(k3_sd, vectors=vectors)
+    norms = sd.class_norms(sd.vectors[0]) - sd.class_norms(sd.vectors[1])
+    assert abs(norms[r] - gap * tol) < 1e-12
+    got, want = strong_cospectrality(sd, 0, 1, tol=tol), reference_strong_cospectrality(sd, 0, 1, tol)
+    assert repr(got) == repr(want)
+    assert (got is not None) == (gap <= 1.0)

@@ -13,7 +13,7 @@ from owalk import mst_search, verify_period
 from owalk.errors import DisconnectedGraphError
 from owalk.spectral import propagator_column
 
-from conftest import paley_tournament
+from conftest import class_weight_corpus, paley_tournament, reference_verify_period
 
 
 def _cert(sd, v):
@@ -106,6 +106,24 @@ def test_verify_period_rejects_odd_multiples(factor, k3_sd, irrational5_sd, mst8
     for sd, v in cases:
         cert = _cert(sd, v)
         assert not verify_period(sd, replace(cert, sigma=factor * cert.sigma))
+
+
+def test_verify_period_equals_the_column_oracle():
+    # the class weights give the verdicts of the propagator columns, for the true
+    # period and for sigma taken 2, 3, 5, 7 and 1/2 times, on every periodic vertex
+    calls = passed = 0
+    for g in class_weight_corpus():
+        sd = decompose(g)
+        if not sd.connected:
+            continue
+        for v in range(g.n):
+            cert = _cert(sd, v)
+            for factor in () if cert is None else (1, 2, 3, 5, 7, 0.5):
+                scaled = replace(cert, sigma=factor * cert.sigma)
+                verdict = verify_period(sd, scaled)
+                assert verdict is reference_verify_period(sd, scaled), (g.n, v, factor)
+                calls, passed = calls + 1, passed + verdict
+    assert calls >= 1000 and passed == calls // 6
 
 
 def test_period_phase_repeats(k3_sd, single_edge_sd, mst8_sd):

@@ -1,5 +1,6 @@
 """Every exported function and class member is reached by the program or documented,
-and every exported entry point that takes a vertex refuses one out of range.
+every exported entry point that takes a vertex refuses one out of range, and every one
+that takes a tolerance refuses one that is not a finite number in (0, 1).
 
 A function in ``owalk.__all__`` that no module of ``src/owalk`` calls
 outside its own definition, and that the README does not name, is code
@@ -18,7 +19,7 @@ from pathlib import Path
 import pytest
 
 import owalk
-from owalk.errors import VertexOutOfRangeError
+from owalk.errors import InputError, VertexOutOfRangeError
 
 SRC = Path(owalk.__file__).parent
 README = Path(__file__).resolve().parents[1] / "README.md"
@@ -155,14 +156,17 @@ def test_every_vertex_parameter_refuses_out_of_range_vertices():
     rotation = next(p for p in owalk.find_switching_automorphisms(g) if p.perm != (0, 1, 2))
     values = {"sd": sd, "p": rotation, "t": 1.0, "tau": 1.0, **VERTEX_PARAMETERS}
     functions = {name: getattr(owalk, name) for name in owalk.__all__}
+    methods = [("SpectralDecomposition.pair_coeffs", sd.pair_coeffs)]
+    methods += [("SwitchingAutomorphism.apply", rotation.apply)]
     entry_points = {
         name: fn
-        for name, fn in [*functions.items(), ("SpectralDecomposition.pair_coeffs", sd.pair_coeffs)]
+        for name, fn in [*functions.items(), *methods]
         if inspect.isroutine(fn) and VERTEX_PARAMETERS.keys() & inspect.signature(fn).parameters
     }
     assert {
         "eigenvalue_support", "strong_cospectrality", "propagator_column", "verify_pst",
         "scan_pst", "mst_search", "orbit", "SpectralDecomposition.pair_coeffs",
+        "SwitchingAutomorphism.apply",
     } <= entry_points.keys()
     for name, fn in entry_points.items():
         params = inspect.signature(fn).parameters
@@ -173,3 +177,25 @@ def test_every_vertex_parameter_refuses_out_of_range_vertices():
             for bad in (-1, g.n):
                 with pytest.raises(VertexOutOfRangeError), _within(1.0):
                     fn(**{**args, param: bad})
+
+
+@pytest.mark.parametrize("tol", [float("nan"), float("inf"), 0.0, 1.0, 1e300])
+def test_every_tol_parameter_refuses_a_tol_outside_0_1(tol):
+    # tol = nan would switch off every `residual > tol` refusal, and tol = 1e300 accepts
+    # a time that is no transfer: each entry point refuses both, before any other work
+    g = owalk.builtin_example("k3")
+    sd = owalk.decompose(g)
+    rotation = next(p for p in owalk.find_switching_automorphisms(g) if p.perm != (0, 1, 2))
+    values = {"sd": sd, "p": rotation, "tau": 1.0, **VERTEX_PARAMETERS}
+    values["cospec"] = owalk.strong_cospectrality(sd, 0, rotation.apply(0))
+    values["period"] = owalk.is_periodic(sd, owalk.eigenvalue_support(sd, 0))
+    # the analysis tolerance; quadratic_integer_profile's tol is the integer-recognition one
+    names = ("verify_pst", "scan_pst", "strong_cospectrality", "complete_char", "mst_search")
+    for name in names:
+        fn = getattr(owalk, name)
+        params = inspect.signature(fn).parameters
+        args = {p: values[p] for p in params if p in values}
+        missing = [p for p in params.keys() - args.keys() if params[p].default is params[p].empty]
+        assert not missing, f"{name}: give this test an argument for {missing}"
+        with pytest.raises(InputError, match="tol must be a finite number in"):
+            fn(**args, tol=tol)
