@@ -21,7 +21,7 @@ from itertools import accumulate
 
 import numpy as np
 
-from .errors import InconsistentExactCheckError
+from .errors import InconsistentExactCheckError, InputError
 from .graph import OrientedGraph
 
 __all__ = [
@@ -223,7 +223,8 @@ def quadratic_integer_profile(
     y_squared_values : iterable of float
         Values |theta_r|^2 for the nonzero eigenvalues of interest.
     tol : float
-        Absolute tolerance for integer recognition.
+        Absolute tolerance for integer recognition, a finite number in
+        (0, 0.5); any other value raises InputError before any value is read.
     poly : function returning an IntPolynomial, optional
         Returns the characteristic polynomial of the graph.  When given,
         every recognized integer c is cross-checked to be a root of the
@@ -239,6 +240,8 @@ def quadratic_integer_profile(
     or None when the values are not all integers sharing one square-free
     part.
     """
+    if not 0.0 < tol < 0.5:  # nan compares false, and tol >= 0.5 would call 2.5 an integer
+        raise InputError(f"tol must be a finite number in (0, 0.5), got {tol!r}")
     recognized: list[int] = []
     for value in y_squared_values:
         value = float(value)

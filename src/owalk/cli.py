@@ -97,9 +97,10 @@ def _emit_json(obj, indent: int = 0) -> str:
 def _sigma_multiple(t: float, sigma: float) -> Fraction | None:
     """Rational p/q with t = (p/q)*sigma, or None.
 
-    Accepts only p > 0 and |t/sigma - p/q| <= 1e-8/q^2 with q at most
+    Accepts p/q when |t/sigma - p/q| <= 1e-8/q^2 with q at most
     RATIONAL_DENOMINATOR_LIMIT, which a continued-fraction coincidence for
-    an irrational ratio cannot meet.  By Legendre's theorem such a p/q is
+    an irrational ratio cannot meet, and p = 0 only for t = 0, so a negative
+    time gets its negative fraction.  By Legendre's theorem such a p/q is
     a convergent of t/sigma, and the closest fraction with q in range, so
     the walk over the convergents stops at the first that passes.  With
     x' the next complete quotient, t/sigma - p/q = +-1/(q*(q*x' + q_prev)),
@@ -115,7 +116,7 @@ def _sigma_multiple(t: float, sigma: float) -> Fraction | None:
             return None
         num, den = den, rest  # x' = num/den, infinite once den is 0
         if 10**8 * q * den <= q * num + q_prev * den:
-            return Fraction(p, q) if p > 0 else None
+            return Fraction(p, q) if p or not t else None
 
 
 def _sigma_note(tag: str | None, sigma: float) -> str:

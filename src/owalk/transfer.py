@@ -12,8 +12,8 @@ same parity: the test reads only the classes with y_r >= 0.
 
 The scan solves this condition directly, without sampling |U(t)[b, a]|:
 one support index fixes a discrete set of candidate times, the parity
-test keeps the transfer times among them, and each kept time is
-polished and verified numerically.  The same path serves periodic and
+test keeps the transfer times among them, and each kept time, solved to
+rounding, is verified numerically.  The same path serves periodic and
 aperiodic sources.
 
 Multiple state transfer (MST) is PST between every ordered pair of a
@@ -176,30 +176,6 @@ def _parity_of(values: np.ndarray) -> np.ndarray:
     return np.where(common, parity[:, 0], -1.0).astype(int)
 
 
-def _refine_peak(coeffs: np.ndarray, y: np.ndarray, t: np.ndarray) -> np.ndarray:
-    """Newton iterations on the derivative of |amplitude|^2, from each start time.
-
-    ``coeffs`` are E_r[b, a] over r, so the amplitude is
-    sum_r exp(-i*t*y_r) * coeffs[r]; each time moves onto the nearby
-    maximum of |amplitude| to near machine precision, and stops on its own.
-    """
-    # (K, 1, R) @ (R, 1) takes one BLAS dot per row, rounded alike alone or in a block
-    sums = [c[:, None] for c in (coeffs, -1j * y * coeffs, -(y**2) * coeffs)]
-    t, rows = np.array(t, dtype=float), np.arange(len(t))
-    for _ in range(8):
-        ph = np.exp(-1j * t[rows, None] * y)[:, None]
-        amp, damp, ddamp = ((ph @ c)[:, 0, 0] for c in sums)
-        grad = 2.0 * (damp * amp.conjugate()).real
-        curv = 2.0 * (abs(damp) ** 2 + (ddamp * amp.conjugate()).real)
-        moving = ~(curv >= 0.0)  # the negation of the stop rule, as for one row
-        rows, step = rows[moving], grad[moving] / curv[moving]
-        t[rows] -= step
-        rows = rows[~(abs(step) < 1e-14 * np.maximum(1.0, abs(t[rows])))]
-        if not rows.size:
-            break
-    return t
-
-
 def scan_pst(
     sd: SpectralDecomposition,
     a: int,
@@ -214,8 +190,8 @@ def scan_pst(
     of least nonzero |y|, v_r0 = q_r0 - t*y_r0/pi must be an integer, so
     the only candidate times are t*|y_r0|/pi = offset + j for integers
     j >= 0.  In blocks of SCAN_BLOCK, the parity test of ``first_char_check``
-    keeps those where every v_r shares one parity, Newton polishes them,
-    and ``verify_pst``'s criteria verify the polished times.  A ``tol`` outside (0, 1), a
+    keeps those where every v_r shares one parity, and ``verify_pst``'s
+    criteria verify the kept times as solved.  A ``tol`` outside (0, 1), a
     ``t_max`` past ``verify_pst``'s time bound (both checked first), or more than ``grid``
     candidate times raises InputError instead of a short scan.  Certificates are sorted by time.
     """
@@ -242,7 +218,6 @@ def scan_pst(
             f"scanning (0, {t_max!r}] would examine about {span:.3g} candidate times, "
             f"more than the bound of {grid}"
         )
-    coeffs = sd.pair_coeffs(a, b)
     half = [r for r in cospec.support if y[r] >= 0.0]
     q, ys = np.array([cospec.quarrels[r] for r in half]), y[half]
     count = math.floor(span) + 1
@@ -251,8 +226,7 @@ def scan_pst(
         taus = math.pi * (offset + np.arange(start, min(start + SCAN_BLOCK, count))) / y0
         kept = taus[_parity_of(q - taus[:, None] * ys / math.pi) >= 0]
         if kept.size:
-            polished = _refine_peak(coeffs, y, kept).tolist()
-            certificates += _verify_times(sd, a, b, polished, tol, "scan")
+            certificates += _verify_times(sd, a, b, kept.tolist(), tol, "scan")
     return certificates
 
 

@@ -18,7 +18,6 @@ from owalk import (
 )
 from owalk import __version__, first_char_check, strong_cospectrality, verify_pst
 from owalk import CospectralityCertificate
-from owalk import transfer
 from owalk.graph import BUILTIN_NAMES, _components
 from owalk.spectral import propagator_column
 from owalk.transfer import DEFAULT_PARITY_TOL, DEFAULT_PST_TOL, MAX_SCAN_CANDIDATES
@@ -313,10 +312,10 @@ def scalar_scan_pst(sd, a, b, t_max, grid=MAX_SCAN_CANDIDATES, tol=DEFAULT_PST_T
     """PST events a -> b in (0, t_max] from the transfer condition, one candidate at a time.
 
     A test oracle for owalk's block scan: the same candidate times
-    pi*(offset + j)/|y_r0|, each tested by ``first_char_check``, polished
-    alone by ``transfer._refine_peak`` and verified by ``verify_pst``, with
-    the same skip of a time within 1e-8 of the last certificate and the
-    same refusal of more than ``grid`` candidates.
+    pi*(offset + j)/|y_r0|, each tested by ``first_char_check`` and verified
+    alone by ``verify_pst``, with the same refusal of more than ``grid``
+    candidates.  A time within 1e-8 of the last certificate is skipped; the
+    block scan has no such skip, since its candidates are pi/|y_r0| apart.
     """
     cospec = strong_cospectrality(sd, a, b, tol=tol)
     if cospec is None:
@@ -334,16 +333,14 @@ def scalar_scan_pst(sd, a, b, t_max, grid=MAX_SCAN_CANDIDATES, tol=DEFAULT_PST_T
     span = t_max * y0 / math.pi - offset
     if not span < grid:
         raise InputError(f"about {span:.3g} candidate times, more than {grid}")
-    coeffs = sd.pair_coeffs(a, b)
     certificates = []
     for j in range(math.floor(span) + 1):
         tau = math.pi * (offset + j) / y0
         if first_char_check(cospec, sd, tau) is None:
             continue
-        t_star = float(transfer._refine_peak(coeffs, y, np.array([tau]))[0])
-        if certificates and abs(t_star - certificates[-1].time) < 1e-8:
+        if certificates and abs(tau - certificates[-1].time) < 1e-8:
             continue
-        cert = verify_pst(sd, a, b, t_star, tol, method="scan")
+        cert = verify_pst(sd, a, b, tau, tol, method="scan")
         if cert is not None:
             certificates.append(cert)
     return certificates

@@ -17,7 +17,7 @@ from owalk import (
     square_free_part,
 )
 from owalk.cli import main
-from owalk.errors import InconsistentExactCheckError
+from owalk.errors import InconsistentExactCheckError, InputError
 
 from conftest import faddeev_leverrier, k3_power, paley_tournament, random_oriented_graph
 
@@ -339,6 +339,17 @@ def test_profile_rejects_mixed_square_free_parts():
 
 def test_profile_rejects_far_from_integer():
     assert quadratic_integer_profile([2.5]) is None
+
+
+@pytest.mark.parametrize("tol", [float("nan"), float("inf"), -1.0, 0.0, 0.5, 0.6, 1e300])
+def test_profile_refuses_a_tol_outside_0_half(tol):
+    # tol = nan or tol >= 0.5 would recognize 2.5 as an integer: refused before any value is read
+    def values():
+        pytest.fail("a value was read")
+        yield 2.5
+
+    with pytest.raises(InputError, match=r"tol must be a finite number in \(0, 0.5\)"):
+        quadratic_integer_profile(values(), tol=tol, poly=lambda: pytest.fail("poly was called"))
 
 
 def test_profile_cross_check_catches_lying_polynomial(k3):

@@ -418,7 +418,7 @@ def limit_denominator_oracle(t, sigma):
     """Sigma multiple of t by the closest fraction with q <= 10^6, then the gate."""
     ratio = Fraction(t) / Fraction(sigma)
     frac = ratio.limit_denominator(10**6)
-    if frac <= 0:
+    if not frac and t:
         return None
     if abs(ratio - frac) * frac.denominator**2 * 10**8 <= 1:
         return frac
@@ -451,6 +451,20 @@ def test_sigma_multiple_matches_limit_denominator_oracle():
         answers[expected is None or expected.denominator] = True
     # the cases reach past the gate and onto the denominator limit
     assert {True, 1, 3, 49, 999_983, 10**6} <= set(answers)
+    # a negative time gets its negative fraction, and 0 stands only for t = 0
+    sigma = math.pi  # mst8's period
+    for t, expected in [
+        (-math.pi / 2, Fraction(-1, 2)),
+        (-0.75 * sigma, Fraction(-3, 4)),
+        (-7 / 3 * sigma, Fraction(-7, 3)),
+        (0.0, Fraction(0)),
+        (1e-12, None),
+        (-1e-12, None),
+    ]:
+        assert _sigma_multiple(t, sigma) == expected, t
+        assert limit_denominator_oracle(t, sigma) == expected, t
+    report = run_json("pst", "mst8", "0", "1", "--time", repr(-math.pi / 2))
+    assert report["transfers"][0]["sigma_multiple"] == "-1/2"
 
 
 # --- argument parsing -------------------------------------------------------

@@ -10,12 +10,19 @@ After a deliberate change of the reports, regenerate the recordings with
     PYTHONPATH=src python tests/test_golden.py [slug ...]
 
 which rewrites only the named recordings (file names without ``.json``),
-or all of them when no slug is given.
+or all of them when no slug is given.  To account for such a change first,
+
+    PYTHONPATH=src python tests/test_golden.py --account [slug ...]
+
+prints every leaf that differs from its recording (slug, path, old value,
+new value and, between two floats, their distance in ulp) and rewrites
+nothing.
 """
 
 import io
 import json
 import math
+import struct
 import sys
 from contextlib import redirect_stdout
 from pathlib import Path
@@ -88,6 +95,40 @@ def _compare(got, want, path="$"):
         assert got == want, f"{path}: {got!r} vs {want!r}"
 
 
+def _leaves(obj, path="$"):
+    """(path, value) of every leaf of a JSON value, in document order."""
+    if isinstance(obj, dict):
+        for key, value in obj.items():
+            yield from _leaves(value, f"{path}.{key}")
+    elif isinstance(obj, list):
+        for i, value in enumerate(obj):
+            yield from _leaves(value, f"{path}[{i}]")
+    else:
+        yield path, obj
+
+
+def _ulps(old, new):
+    """Number of doubles from old to new, or None unless both are floats."""
+    if type(old) is not float or type(new) is not float:
+        return None
+    ordered = [struct.unpack("<q", struct.pack("<d", x))[0] for x in (old, new)]
+    ordered = [i if i >= 0 else -(2**63) - i for i in ordered]  # monotone in x, 0 at +-0.0
+    return abs(ordered[1] - ordered[0])
+
+
+def _account(slug, recorded, record):
+    """Print each leaf of ``record`` that differs from ``recorded``; return how many."""
+    old, new = dict(_leaves(recorded)), dict(_leaves(record))
+    moved = 0
+    for path in [*old, *(p for p in new if p not in old)]:
+        before, after = old.get(path, "<absent>"), new.get(path, "<absent>")
+        if type(before) is not type(after) or before != after:
+            ulps = _ulps(before, after)
+            print(slug, path, repr(before), repr(after), "-" if ulps is None else f"{ulps} ulp")
+            moved += 1
+    return moved
+
+
 @pytest.mark.parametrize("argv", COMMANDS, ids=_slug)
 def test_report_matches_golden(argv):
     recorded = json.loads((GOLDEN_DIR / f"{_slug(argv)}.json").read_text())
@@ -97,15 +138,22 @@ def test_report_matches_golden(argv):
 
 
 if __name__ == "__main__":
-    wanted = set(sys.argv[1:])
+    account = sys.argv[1:2] == ["--account"]
+    wanted = set(sys.argv[1 + account :])
     unknown = wanted - {_slug(argv) for argv in COMMANDS}
     if unknown:
         sys.exit(f"unknown golden slugs: {', '.join(sorted(unknown))}")
     GOLDEN_DIR.mkdir(exist_ok=True)
+    moved = 0
     for argv in COMMANDS:
         if wanted and _slug(argv) not in wanted:
             continue
         code, report = _run(argv)
         record = {"argv": argv, "exit_code": code, "report": report}
         path = GOLDEN_DIR / f"{_slug(argv)}.json"
-        path.write_text(json.dumps(record, indent=1) + "\n")
+        if account:
+            moved += _account(_slug(argv), json.loads(path.read_text()), record)
+        else:
+            path.write_text(json.dumps(record, indent=1) + "\n")
+    if account:
+        print(f"{moved} leaves differ")

@@ -2,6 +2,7 @@ import math
 import random
 import tracemalloc
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -83,14 +84,26 @@ def test_scan_finds_nothing_without_transfer(irrational5_sd, p4_sd):
     assert scan_pst(p4_sd, 0, 3, t_max=6.0) == []
 
 
-def test_scan_time_precision(k3_sd, irrational5_sd):
-    # the Newton polish lands on the closed-form times
-    for sd, a, b, expected in (
-        (k3_sd, 0, 1, K3_TAU),
-        (irrational5_sd, 3, 4, IRR5_TAU),
-    ):
-        certs = scan_pst(sd, a, b, t_max=3.0)
-        assert certs and abs(certs[0].time - expected) < 1e-11
+def test_scan_time_precision(k3_sd, irrational5_sd, mst8_sd):
+    # every scanned time up to t = 2000 lies within 8 ulp of its closed form,
+    # evaluated to 50 digits: sigma/3 + j*sigma on k3, (pi + arccos(3/4) +
+    # 2*pi*j)/sqrt(7) on irrational5 and multiples of pi/4 on mst8
+    mp = mpmath.mp
+    cases = [
+        (k3_sd, 0, 1, lambda j: 2 * mp.pi * (3 * j + 1) / (3 * mp.sqrt(3))),
+        (irrational5_sd, 3, 4, lambda j: (mp.pi + mp.acos(0.75) + 2 * mp.pi * j) / mp.sqrt(7)),
+        (mst8_sd, 0, 1, lambda j: (4 * j + 2) * mp.pi / 4),
+        (mst8_sd, 0, 6, lambda j: (4 * j + 1) * mp.pi / 4),
+        (mst8_sd, 0, 7, lambda j: (4 * j + 3) * mp.pi / 4),
+    ]
+    for sd, a, b, closed_form in cases:
+        certs = scan_pst(sd, a, b, t_max=2000.0)
+        with mpmath.workdps(50):
+            exact = [closed_form(j) for j in range(len(certs) + 1)]
+            assert certs and exact[-2] <= 2000 < exact[-1], (a, b, len(certs))
+            for cert, t in zip(certs, exact):
+                ulps = abs(mpmath.mpf(cert.time) - t) / math.ulp(cert.time)
+                assert ulps <= 8, (a, b, cert.time, mpmath.nstr(t, 20), float(ulps))
 
 
 def _cycle(n):
@@ -131,20 +144,10 @@ def _scan_or_error(scan, sd, a, b, t_max):
         return type(exc)
 
 
-def test_block_scan_matches_scalar_oracle(rng, k3_sd, irrational5_sd, mst8_sd, monkeypatch):
-    # candidates taken in blocks give the certificates of the scan that tests,
-    # polishes and verifies one candidate at a time, equal to the last bit
-    # (times, phases, methods and residuals); and Newton polishes the same
-    # candidates to the same times, kept or not
-    real = owalk.transfer._refine_peak
-    polished = []
-
-    def recording(coeffs, y, t):
-        out = real(coeffs, y, t)
-        polished.extend(zip(t.tolist(), out.tolist()))
-        return out
-
-    monkeypatch.setattr(owalk.transfer, "_refine_peak", recording)
+def test_block_scan_matches_scalar_oracle(rng, k3_sd, irrational5_sd, mst8_sd):
+    # candidates taken in blocks give the certificates of the scan that tests
+    # and verifies one candidate at a time, equal to the last bit (times,
+    # phases, methods and residuals)
     cases = [
         (decompose(g), a, b, 10.0)
         for g in _scan_graphs(rng)
@@ -154,27 +157,17 @@ def test_block_scan_matches_scalar_oracle(rng, k3_sd, irrational5_sd, mst8_sd, m
     ]
     cases += [(k3_sd, 0, 1, 20000.0), (irrational5_sd, 3, 4, 200.0)]
     cases += [(mst8_sd, 0, b, 400.0) for b in range(1, 8)]
-    events = candidates = 0
+    events = 0
     for sd, a, b, t_max in cases:
         got = _scan_or_error(scan_pst, sd, a, b, t_max)
-        block, polished[:] = polished[:], []
         want = _scan_or_error(scalar_scan_pst, sd, a, b, t_max)
-        scalar, polished[:] = polished[:], []
         where = (sd.graph.edges, a, b, t_max)
-        assert block == scalar, where
         if isinstance(want, type):
             assert got is want, where
             continue
         assert got == want, where
         events += len(got)
-        candidates += len(block)
-    assert events > 5513 + 84 + 3 * 127 and candidates >= events
-    # every scanned candidate converges in the same number of Newton steps;
-    # starts that need different numbers polish in one block as they do alone
-    coeffs, y = irrational5_sd.pair_coeffs(3, 4), irrational5_sd.eigenvalues
-    starts = IRR5_TAU + np.array([0.0, 1e-9, -1e-6, 1e-4, -1e-2, 3e-2])
-    alone = [real(coeffs, y, starts[i : i + 1])[0] for i in range(len(starts))]
-    assert real(coeffs, y, starts).tolist() == alone
+    assert events > 5513 + 84 + 3 * 127
 
 
 def _reversed(g):
