@@ -26,7 +26,6 @@ from .arithmetic import IntPolynomial
 from .autos import find_switching_automorphisms
 from .cospectral import eigenvalue_support, strong_cospectrality
 from .errors import (
-    DisconnectedGraphError,
     GraphParseError,
     InputError,
     OwalkError,
@@ -119,8 +118,10 @@ def _sigma_multiple(t: float, sigma: float) -> Fraction | None:
             return Fraction(p, q) if p or not t else None
 
 
-def _sigma_note(tag: str | None, sigma: float) -> str:
-    """Human note relating a time, tag*sigma, to the period sigma."""
+def _sigma_note(tag: str | None, sigma: float | None) -> str:
+    """Human note relating a time, tag*sigma, to the period sigma of its source."""
+    if sigma is None:
+        return "(source vertex is not periodic)"
     if tag is None:
         return (
             f"not a rational multiple of sigma = {sigma!r} "
@@ -164,17 +165,6 @@ def _load_graph(arg: str) -> tuple[OrientedGraph, str]:
         f"{arg!r} is neither a graph file nor a builtin example "
         f"(builtins: {', '.join(BUILTIN_NAMES)})"
     )
-
-
-def _sigma_of(sd, vertex: int) -> tuple[float | None, str]:
-    """Minimum period of the vertex, or None and the note that says why it has none."""
-    try:
-        cert = is_periodic(sd, eigenvalue_support(sd, vertex))
-    except DisconnectedGraphError:
-        return None, "(periodicity is defined only for connected graphs)"
-    if cert is None:
-        return None, "(source vertex is not periodic)"
-    return cert.sigma, ""
 
 
 # --- subcommand handlers --------------------------------------------------
@@ -294,10 +284,13 @@ def _cmd_pst(args, g, report, lines) -> bool:
     else:
         t_max = DEFAULT_SCAN_TMAX if args.t_max is None else args.t_max
         certs = scan_pst(sd, args.a, args.b, t_max=t_max, tol=args.eff_tol)
-    sigma, why = _sigma_of(sd, args.a) if certs else (None, "")
+    period = is_periodic(sd, eigenvalue_support(sd, args.a)) if certs else None
+    sigma = None if period is None else period.sigma
+    # the events are t_1 + j*sigma (transfer module), so one fraction tags them all
+    first = None if sigma is None else _sigma_multiple(certs[0].time, sigma)
     entries = []
     for cert in certs:
-        frac = None if sigma is None else _sigma_multiple(cert.time, sigma)
+        frac = None if first is None else first + round((cert.time - certs[0].time) / sigma)
         tag = None if frac is None else f"{frac.numerator}/{frac.denominator}"
         entries.append(
             {
@@ -318,7 +311,7 @@ def _cmd_pst(args, g, report, lines) -> bool:
                 f"PST {e['source']} -> {e['target']} at t = {e['time']!r} "
                 f"(phase {e['phase']:+d}, residual {e['residual']:.2e}, {e['method']})"
             )
-            lines.append(f"  t {why if sigma is None else _sigma_note(e['sigma_multiple'], sigma)}")
+            lines.append(f"  t {_sigma_note(e['sigma_multiple'], sigma)}")
     if not certs:
         if args.time is not None:
             lines.append(

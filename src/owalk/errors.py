@@ -63,7 +63,7 @@ class GraphParseError(InputError):
 
 
 class DisconnectedGraphError(InputError):
-    """The operation requires a connected graph on at least two vertices."""
+    """The vertex is isolated: it never moves, so it has no period and no transfer."""
 
 
 class EigensolverFailureError(InternalInconsistencyError):

@@ -53,20 +53,18 @@ def is_periodic(
 ) -> PeriodicityCertificate | None:
     """Decide periodicity of the supported vertex and build its certificate.
 
-    Requires a connected graph on at least two vertices, decided once per
-    decomposition.  Returns None when the support's nonzero eigenvalues do not
-    share a square-free Delta; the integer recognition is cross-checked against
-    the exact characteristic polynomial, which is computed (once per
-    decomposition) only when every value has been recognized as an integer.
+    Any graph is accepted, since the characterization reads only a's support; an
+    isolated vertex (support {0}) never moves and raises DisconnectedGraphError.
+    Returns None when the support's nonzero eigenvalues do not share a square-free
+    Delta; the integer recognition is cross-checked against the exact characteristic
+    polynomial, computed (once per decomposition) only when every value is an integer.
     """
-    if sd.n < 2 or not sd.connected:
-        raise DisconnectedGraphError(
-            "periodicity is defined for connected graphs on >= 2 vertices"
-        )
     nonzero = [r for r in support.members if sd.eigenvalues[r] != 0.0]
     zero_in_support = len(nonzero) != len(support.members)
     if not nonzero:
-        return None
+        raise DisconnectedGraphError(
+            f"vertex {support.vertex} is isolated: the walk leaves it in place at every time"
+        )
     squares = [float(sd.eigenvalues[r]) ** 2 for r in nonzero]
     profile = arithmetic.quadratic_integer_profile(squares, poly=lambda: sd.char_poly)
     if profile is None:

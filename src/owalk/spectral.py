@@ -24,7 +24,7 @@ import numpy as np
 
 from . import arithmetic
 from .errors import AmbiguousGroupingError, EigensolverFailureError, InputError
-from .graph import OrientedGraph, _check_vertex, is_connected
+from .graph import OrientedGraph, _check_vertex
 
 __all__ = [
     "SpectralDecomposition",
@@ -94,11 +94,6 @@ class SpectralDecomposition:
     def char_poly(self) -> arithmetic.IntPolynomial:
         """Exact characteristic polynomial of the graph, computed on first use."""
         return arithmetic.char_poly(self.graph)
-
-    @cached_property
-    def connected(self) -> bool:
-        """Whether the graph is connected, decided on first use."""
-        return is_connected(self.graph)
 
 
 def decompose(g: OrientedGraph) -> SpectralDecomposition:

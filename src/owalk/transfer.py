@@ -13,8 +13,12 @@ same parity: the test reads only the classes with y_r >= 0.
 The scan solves this condition directly, without sampling |U(t)[b, a]|:
 one support index fixes a discrete set of candidate times, the parity
 test keeps the transfer times among them, and each kept time, solved to
-rounding, is verified numerically.  The same path serves periodic and
-aperiodic sources.
+rounding, is verified numerically, over one period of the source: PST
+a -> b at tau > 0 makes a periodic.  e^{-i*tau*y_r} = phase/alpha_r is
+algebraic, so by Gelfond-Schneider every ratio y_s/y_r of the support is
+rational; the support is Galois-closed, so every y_r^2 is a rational
+algebraic integer, with one square-free Delta.  So the events are one
+class mod sigma, and an aperiodic source has none.
 
 Multiple state transfer (MST) is PST between every ordered pair of a
 vertex set.  Such sets arise as orbits of switching automorphisms: if a
@@ -42,12 +46,7 @@ import numpy as np
 
 from .autos import SwitchingAutomorphism, find_switching_automorphisms, orbit
 from .cospectral import CospectralityCertificate, eigenvalue_support, strong_cospectrality
-from .errors import (
-    DisconnectedGraphError,
-    InputError,
-    NonRealResultError,
-    VerificationFailedError,
-)
+from .errors import InputError, NonRealResultError, VerificationFailedError
 from .graph import _check_vertex
 from .periodicity import PeriodicityCertificate, is_periodic
 from .spectral import REALNESS_TOL, SpectralDecomposition, _check_time, _check_tol, propagator_column
@@ -186,27 +185,27 @@ def scan_pst(
 ) -> list[TransferCertificate]:
     """Find all PST events from a to b with time in (0, t_max].
 
-    Transfer needs a strongly cospectral pair.  On the support index r0
-    of least nonzero |y|, v_r0 = q_r0 - t*y_r0/pi must be an integer, so
-    the only candidate times are t*|y_r0|/pi = offset + j for integers
-    j >= 0.  In blocks of SCAN_BLOCK, the parity test of ``first_char_check``
-    keeps those where every v_r shares one parity, and ``verify_pst``'s
-    criteria verify the kept times as solved.  A ``tol`` outside (0, 1), a
-    ``t_max`` past ``verify_pst``'s time bound (both checked first), or more than ``grid``
-    candidate times raises InputError instead of a short scan.  Certificates are sorted by time.
+    Transfer needs a strongly cospectral pair and a periodic source (module docstring),
+    else the answer is [] at any horizon.  On the support index r0 of least nonzero |y|,
+    v_r0 = q_r0 - t*y_r0/pi must be an integer, so the only candidate times are
+    t*|y_r0|/pi = offset + j for integers j >= 0, K = sigma*|y_r0|/pi of them per period.
+    In blocks of SCAN_BLOCK, the parity test of ``first_char_check`` keeps the j < K
+    where every v_r shares one parity, ``verify_pst``'s criteria verify the kept times as
+    solved, and each verified j recurs as j + iK; a recurrence that fails verification
+    raises VerificationFailedError.  A ``tol`` outside (0, 1), a ``t_max`` past
+    ``verify_pst``'s time bound (both checked first), or more than ``grid`` candidate
+    times raises InputError instead of a short scan.  Certificates are sorted by time.
     """
     _check_tol(tol)
     _check_time(sd, t_max, tol)
     cospec = strong_cospectrality(sd, a, b, tol=tol)
     if cospec is None:
         return []
+    period = is_periodic(sd, eigenvalue_support(sd, a))
+    if period is None:
+        return []
     y = sd.eigenvalues
-    nonzero = [r for r in cospec.support if y[r] != 0.0]
-    if not nonzero:
-        raise DisconnectedGraphError(
-            f"vertex {a} is isolated: the walk leaves it in place at every time"
-        )
-    r0 = min(nonzero, key=lambda r: abs(y[r]))
+    r0 = min(period.b_coeffs, key=lambda r: abs(y[r]))
     y0 = abs(float(y[r0]))
     q0 = cospec.quarrels[r0]
     offset = (q0 if y[r0] > 0 else -q0) % 1.0
@@ -221,12 +220,25 @@ def scan_pst(
     half = [r for r in cospec.support if y[r] >= 0.0]
     q, ys = np.array([cospec.quarrels[r] for r in half]), y[half]
     count = math.floor(span) + 1
+    per_period = (2 if period.phase == 1 else 1) * period.b_coeffs[r0] // period.g  # K
     certificates: list[TransferCertificate] = []
-    for start in range(0, count, SCAN_BLOCK):
-        taus = math.pi * (offset + np.arange(start, min(start + SCAN_BLOCK, count))) / y0
+    for start in range(0, min(per_period, count), SCAN_BLOCK):
+        taus = math.pi * (offset + np.arange(start, min(start + SCAN_BLOCK, per_period, count))) / y0
         kept = taus[_parity_of(q - taus[:, None] * ys / math.pi) >= 0]
         if kept.size:
             certificates += _verify_times(sd, a, b, kept.tolist(), tol, "scan")
+    # two transfer times differ by a period (module docstring), so one j < K is verified
+    j = round(certificates[0].time * y0 / math.pi - offset) if certificates else count
+    for start in range(j + per_period, count, per_period * SCAN_BLOCK):
+        index = np.arange(start, min(start + per_period * SCAN_BLOCK, count), per_period)
+        times = (math.pi * (offset + index) / y0).tolist()
+        certs = _verify_times(sd, a, b, times, tol, "scan")
+        if len(certs) < len(times):
+            missed = min(set(times) - {c.time for c in certs})
+            raise VerificationFailedError(
+                f"PST {a} -> {b} recurs at t = {missed!r} by the period, yet fails its check"
+            )
+        certificates += certs
     return certificates
 
 

@@ -105,18 +105,18 @@ def test_pst_scan_k3():
 
 
 def test_pst_note_on_disconnected_graph(tmp_path):
-    # periodicity is defined only for connected graphs, so the note says
-    # that instead of calling the source aperiodic
+    # the walk from 0 stays in its triangle, so on two disjoint k3s the source
+    # has k3's period and the event its fraction of it
     path = tmp_path / "two_k3.og"
     path.write_text("n 6\ne 0 1\ne 1 2\ne 2 0\ne 3 4\ne 4 5\ne 5 3\n")
+    sigma = 2 * math.pi / math.sqrt(3)
     proc = run_cli("pst", str(path), "0", "1", "--t-max", "3", check=True)
-    assert "  t (periodicity is defined only for connected graphs)" in proc.stdout.splitlines()
-    assert "not periodic" not in proc.stdout
+    assert f"  t = (1/3)*sigma, sigma = {sigma!r}" in proc.stdout.splitlines()
     certs = run_json("pst", str(path), "0", "1", "--t-max", "3")["transfers"]
     assert len(certs) == 1
-    assert certs[0]["sigma"] is None and certs[0]["sigma_multiple"] is None
-    proc = run_cli("periodic", str(path), "0")
-    assert proc.returncode == 2 and "DisconnectedGraphError" in proc.stderr
+    assert certs[0]["sigma"] == sigma and certs[0]["sigma_multiple"] == "1/3"
+    proc = run_cli("periodic", str(path), "0", check=True)
+    assert proc.stdout.splitlines()[1:] == run_cli("periodic", "k3", "0").stdout.splitlines()[1:]
 
 
 def test_pst_verify_at_time():

@@ -7,9 +7,8 @@ import numpy as np
 import pytest
 
 import owalk.arithmetic
-import owalk.graph
 from owalk import build_graph, builtin_example, decompose, eigenvalue_support, is_periodic
-from owalk import mst_search, verify_period
+from owalk import verify_period
 from owalk.errors import DisconnectedGraphError
 from owalk.spectral import propagator_column
 
@@ -114,9 +113,9 @@ def test_verify_period_equals_the_column_oracle():
     calls = passed = 0
     for g in class_weight_corpus():
         sd = decompose(g)
-        if not sd.connected:
-            continue
         for v in range(g.n):
+            if not g.adjacency[v].any():
+                continue  # an isolated vertex has no period
             cert = _cert(sd, v)
             for factor in () if cert is None else (1, 2, 3, 5, 7, 0.5):
                 scaled = replace(cert, sigma=factor * cert.sigma)
@@ -177,24 +176,19 @@ def test_even_b_with_zero_support():
 
 
 def test_disconnected_graph_rejected():
-    g = build_graph(4, [(0, 1), (2, 3)])
-    sd = decompose(g)
+    # the walk from a vertex stays in its component, so periodicity is decided
+    # on any graph: two disjoint edges give every vertex the single edge's
+    # certificate, and only an isolated vertex, which never moves, is refused
+    sd = decompose(build_graph(4, [(0, 1), (2, 3)]))
+    for v in range(sd.n):
+        cert = _cert(sd, v)
+        assert (cert.vertex, cert.delta, cert.g, cert.phase) == (v, 1, 1, -1)
+        assert abs(cert.sigma - math.pi) < 1e-12 and verify_period(sd, cert)
+    sd = decompose(build_graph(3, [(0, 1)]))
+    assert abs(_cert(sd, 0).sigma - math.pi) < 1e-12
     for _ in range(2):
-        for v in range(g.n):
-            with pytest.raises(DisconnectedGraphError):
-                is_periodic(sd, eigenvalue_support(sd, v))
-
-
-def test_connectivity_decided_once_per_decomposition(monkeypatch):
-    calls = []
-    real = owalk.graph._components
-    monkeypatch.setattr(owalk.graph, "_components", lambda g: calls.append(g) or real(g))
-    sd = decompose(builtin_example("mst8"))
-    for _ in range(3):
-        for v in range(sd.n):
-            is_periodic(sd, eigenvalue_support(sd, v))
-    mst_search(sd)  # reads each vertex's periodicity through is_periodic
-    assert len(calls) == 1
+        with pytest.raises(DisconnectedGraphError, match="vertex 2 is isolated"):
+            _cert(sd, 2)
 
 
 def test_reduced_polynomial_built_once_per_decomposition(monkeypatch):

@@ -13,15 +13,23 @@ support of pi(a) holds the eigenvalues of the support of a, and the pair
 so E'_r e_a = alpha_r d_a d_b E'_r e_b: a quarrel shifts by 1 mod 2 exactly
 where d_a * d_b = -1.
 
+Across layers, PST a -> b needs a periodic a, and U(sigma) e_a = phase * e_a
+makes the events of a pair one progression: consecutive scan events differ by
+the source's sigma, each phase the previous one times the period phase, and
+the report tags each event with its own fraction of sigma.
+
 The graphs are relabeled builtins and a few small PST families, so that
 transfers occur, and random orientations of connected graphs.
 """
+
+import json
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from owalk import build_graph, builtin_example, decompose, eigenvalue_support, is_periodic
 from owalk import scan_pst, strong_cospectrality
+from owalk.cli import _sigma_multiple, main
 
 T_MAX = 8.0
 SETTINGS = settings(max_examples=100, deadline=None, derandomize=True, database=None)
@@ -87,6 +95,29 @@ def test_reversal_swaps_source_and_target(g):
         for b in range(g.n):
             if a != b:
                 _same_events(scan_pst(rev, b, a, T_MAX), scan_pst(sd, a, b, T_MAX))
+
+
+@SETTINGS
+@given(g=GRAPHS)
+def test_scan_events_recur_with_the_source_period(g):
+    sd = decompose(g)
+    for a in range(g.n):
+        period = is_periodic(sd, eigenvalue_support(sd, a))
+        for b in range(g.n):
+            events = scan_pst(sd, a, b, 5 * T_MAX)
+            assert period is not None or events == [], (a, b)
+            for before, after in zip(events, events[1:]):
+                assert abs(after.time - before.time - period.sigma) < 1e-9 * after.time, (a, b)
+                assert after.phase == before.phase * period.phase, (a, b)
+
+
+def test_report_tags_equal_the_fraction_of_each_event(capsys):
+    assert main(["pst", "k3", "0", "1", "--scan", "--t-max", "20000", "--json"]) == 0
+    events = json.loads(capsys.readouterr().out)["transfers"]
+    assert len(events) == 5513
+    for e in events:
+        frac = _sigma_multiple(e["time"], e["sigma"])
+        assert e["sigma_multiple"] == f"{frac.numerator}/{frac.denominator}", e
 
 
 def _quarrel_shift(before, after):

@@ -1,11 +1,14 @@
+import functools
 import math
 import random
+import re
 import tracemalloc
 
 import mpmath
 import numpy as np
 import pytest
 
+import owalk.arithmetic
 import owalk.transfer
 from owalk import (
     SwitchingAutomorphism,
@@ -24,6 +27,7 @@ from owalk import (
     verify_pst,
 )
 from owalk.errors import DisconnectedGraphError, InputError, VerificationFailedError
+from owalk.transfer import DEFAULT_PARITY_TOL, MAX_SCAN_CANDIDATES
 
 from conftest import (
     grid_scan,
@@ -252,6 +256,121 @@ def test_scan_refuses_isolated_vertex():
     sd = decompose(build_graph(3, [(0, 1)]))
     with pytest.raises(DisconnectedGraphError):
         scan_pst(sd, 2, 2, t_max=1.0)
+
+
+def _parity_rows(monkeypatch, fail=False):
+    """Patch the scan's parity test to count the candidate rows it is handed, or to fail."""
+    real, rows = owalk.transfer._parity_of, []
+
+    def counting(values):
+        assert not fail, "a candidate time was examined"
+        rows.append(len(values))
+        return real(values)
+
+    monkeypatch.setattr(owalk.transfer, "_parity_of", counting)
+    return rows
+
+
+def test_aperiodic_source_has_no_transfer_at_any_horizon(monkeypatch):
+    # PST needs a periodic source (transfer module), so a strongly cospectral pair
+    # with an aperiodic source is answered from its certificates, with no candidate
+    # examined, even where the candidates would pass the bound of MAX_SCAN_CANDIDATES
+    rng = np.random.default_rng(7)
+    pairs = []
+    for _ in range(20):
+        sd = decompose(random_oriented_graph(rng, int(rng.integers(3, 8))))
+        for a in range(sd.n):
+            if not sd.graph.adjacency[a].any():
+                continue
+            for b in range(sd.n):
+                cospec = strong_cospectrality(sd, a, b) if a != b else None
+                if cospec and not is_periodic(sd, eigenvalue_support(sd, a)):
+                    assert scalar_scan_pst(sd, a, b, t_max=60.0) == []
+                    y0 = min(abs(sd.eigenvalues[r]) for r in cospec.support if sd.eigenvalues[r])
+                    pairs.append((sd, a, b, y0))
+    assert len(pairs) > 10
+    assert any(1e6 * y0 / math.pi > MAX_SCAN_CANDIDATES for *_, y0 in pairs)
+    _parity_rows(monkeypatch, fail=True)
+    for sd, a, b, _ in pairs:
+        assert scan_pst(sd, a, b, t_max=1e6) == []
+
+
+def test_scan_tests_the_parity_of_one_period(monkeypatch, k3_sd):
+    # k3 has K = 2 candidates per period (sigma*sqrt(3)/pi), and its transfers
+    # 0 -> 1 at sigma/3 and 0 -> 2 at 2*sigma/3 are the first and the second;
+    # a scan that tested fewer than K would lose 0 -> 2
+    sigma = 2 * math.pi / math.sqrt(3)
+    (two,) = scan_pst(k3_sd, 0, 2, t_max=sigma)
+    assert abs(two.time - 2 * sigma / 3) < 1e-12 and two.phase == 1
+    rows = _parity_rows(monkeypatch)
+    assert len(scan_pst(k3_sd, 0, 1, t_max=20000.0)) == 5513 and sum(rows) == 2
+    # a periodic, strongly cospectral pair with no transfer: the parity test fails
+    # on the K = 2 candidates of the first period (y = +-1, +-2), and so at every time
+    sd = decompose(build_graph(4, [(1, 0), (2, 0), (3, 0), (1, 2), (2, 3)]))
+    period = is_periodic(sd, eigenvalue_support(sd, 0))
+    assert strong_cospectrality(sd, 0, 2) and abs(period.sigma - 2 * math.pi) < 1e-12
+    rows.clear()
+    assert scan_pst(sd, 0, 2, t_max=1e5) == [] and sum(rows) == 2
+
+
+def test_scan_raises_when_a_transfer_does_not_recur(monkeypatch, k3_sd):
+    # a verified transfer recurs every period, so a member of its progression
+    # that fails verification is an inconsistency, not a missing event
+    spoiled = scan_pst(k3_sd, 0, 1, t_max=20.0)[3].time
+    real = owalk.transfer._verify_times
+
+    def spoiling(sd, a, b, times, tol, method):
+        return [c for c in real(sd, a, b, times, tol, method) if c.time != spoiled]
+
+    monkeypatch.setattr(owalk.transfer, "_verify_times", spoiling)
+    with pytest.raises(VerificationFailedError, match=re.escape(repr(spoiled))):
+        scan_pst(k3_sd, 0, 1, t_max=20.0)
+
+
+def test_scan_verifies_every_recurrence_up_to_the_time_bound(k3_sd):
+    # up to the longest time _check_time admits for tol = 1e-9, the phases round
+    # by less than tol, so every member of the progression verifies
+    sigma = 2 * math.pi / math.sqrt(3)
+    t_max = 1e-9 * 2**52 / math.sqrt(3) * (1 - 1e-12)
+    certs = scan_pst(k3_sd, 0, 1, t_max=t_max, tol=1e-9, grid=1_500_000)
+    assert len(certs) == math.floor((t_max - sigma / 3) / sigma) + 1 == 716_770
+    assert max(c.residual for c in certs) < 1e-9
+
+
+def _verdicts(sds):
+    """Every periodicity verdict and every scan event in (0, 20] of the decompositions."""
+    out = []
+    for sd in sds:
+        for a in range(sd.n):
+            if not sd.graph.adjacency[a].any():
+                continue  # an isolated vertex is refused
+            period = is_periodic(sd, eigenvalue_support(sd, a))
+            out.append(None if period is None else (period.delta, period.b_coeffs))
+            for b in range(sd.n):
+                out.append([(c.time, c.phase) for c in scan_pst(sd, a, b, t_max=20.0)])
+    return out
+
+
+@pytest.mark.parametrize("scale", [1e3, 1e-3])
+def test_no_verdict_rests_on_the_recognition_or_parity_tolerance(scale, monkeypatch):
+    # "no transfer" from an aperiodic source rests on recognizing y^2 as integers
+    # (tolerance 1e-6) and the scan's events on the parity test (also 1e-6):
+    # scaling either by 10^3 or 10^-3 changes no verdict on these graphs
+    rng = np.random.default_rng(31)
+    graphs = [builtin_example(name) for name in ("k3", "irrational5", "mst8")]
+    graphs += [_cycle(n) for n in range(3, 13)] + [paley_tournament(q) for q in (7, 11)]
+    graphs += [k3_power(2)] + [random_oriented_graph(rng, 3 + i % 6) for i in range(20)]
+    sds = [decompose(g) for g in graphs]
+    expected = _verdicts(sds)
+    assert sum(map(bool, expected)) > 200
+    recognize = owalk.arithmetic.quadratic_integer_profile
+    with monkeypatch.context() as patch:
+        scaled = functools.partial(recognize, tol=1e-6 * scale)
+        patch.setattr(owalk.arithmetic, "quadratic_integer_profile", scaled)
+        assert _verdicts(sds) == expected
+    with monkeypatch.context() as patch:
+        patch.setattr(owalk.transfer, "DEFAULT_PARITY_TOL", DEFAULT_PARITY_TOL * scale)
+        assert _verdicts(sds) == expected
 
 
 def test_first_char_k3(k3_sd):
