@@ -7,7 +7,9 @@ evolve, example.  Reports go to stdout as aligned text, or as JSON with
 
 JSON is emitted by a deterministic serializer (fixed key order, floats
 with 17 significant digits), so identical inputs produce byte-identical
-output.
+output.  A handler checks everything it reports before main writes a
+byte, and hands its long sections over as lazy rows: main writes each
+row as it formats it, so a report costs one row beyond its certificates.
 """
 
 from __future__ import annotations
@@ -16,6 +18,7 @@ import argparse
 import math
 import os
 import sys
+from collections.abc import Iterator
 from fractions import Fraction
 from json.encoder import encode_basestring_ascii as _json_str
 
@@ -90,6 +93,27 @@ def _emit_json(obj, indent: int = 0) -> str:
     raise TypeError(f"cannot serialize {type(obj).__name__} into the report")
 
 
+def _write_json(write, obj, indent: int = 0) -> None:
+    """Write ``_emit_json(obj, indent)``: a dict one value at a time, an iterator (a list
+    of lists or dicts) one ``_emit_json`` item at a time."""
+    pad = "  " * (indent + 1)
+    if isinstance(obj, dict) and obj:
+        sep = "{\n"
+        for key, value in obj.items():
+            write(sep + pad + _json_str(key) + ": ")
+            _write_json(write, value, indent + 1)
+            sep = ",\n"
+        write("\n" + "  " * indent + "}")
+    elif isinstance(obj, Iterator):
+        sep = "[\n"
+        for item in obj:
+            write(sep + pad + _emit_json(item, indent + 1))
+            sep = ",\n"
+        write("[]" if sep == "[\n" else "\n" + "  " * indent + "]")
+    else:
+        write(_emit_json(obj, indent))
+
+
 # --- shared report helpers ------------------------------------------------
 
 
@@ -151,6 +175,10 @@ def _poly_str(p: IntPolynomial) -> str:
     return out
 
 
+def _graph_section(name: str, g: OrientedGraph) -> dict:
+    return {"name": name, "n": g.n, "edges": ([u, v] for u, v in g.edges)}
+
+
 def _load_graph(arg: str) -> tuple[OrientedGraph, str]:
     if os.path.exists(arg):
         try:
@@ -171,6 +199,8 @@ def _load_graph(arg: str) -> tuple[OrientedGraph, str]:
 #
 # Each handler fills report[<section>], appends text lines, and returns
 # whether the analysis came back positive (negative + --strict exits 1).
+# A long section is an iterator of rows and its text an iterable of lines,
+# formatted as main writes them, after every check has passed.
 
 
 def _cmd_spectrum(args, g, report, lines) -> bool:
@@ -281,37 +311,28 @@ def _cmd_pst(args, g, report, lines) -> bool:
     if args.time is not None:
         cert = verify_pst(sd, args.a, args.b, args.time, tol=args.eff_tol)
         certs = [] if cert is None else [cert]
+        period = is_periodic(sd, eigenvalue_support(sd, args.a)) if certs else None
     else:
         t_max = DEFAULT_SCAN_TMAX if args.t_max is None else args.t_max
         certs = scan_pst(sd, args.a, args.b, t_max=t_max, tol=args.eff_tol)
-    period = is_periodic(sd, eigenvalue_support(sd, args.a)) if certs else None
-    sigma = None if period is None else period.sigma
-    # the events are t_1 + j*sigma (transfer module), so one fraction tags them all
+        period = certs.period
+    sigma = None if period is None or not certs else period.sigma
+    # the events are t_1 + m*sigma (transfer module), so for t_1 = (p/q)*sigma event m is
+    # (p + m*q)/q, in lowest terms since gcd(p + m*q, q) = gcd(p, q) = 1
     first = None if sigma is None else _sigma_multiple(certs[0].time, sigma)
-    entries = []
-    for cert in certs:
-        frac = None if first is None else first + round((cert.time - certs[0].time) / sigma)
-        tag = None if frac is None else f"{frac.numerator}/{frac.denominator}"
-        entries.append(
-            {
-                "source": cert.source,
-                "target": cert.target,
-                "time": float(cert.time),
-                "phase": cert.phase,
-                "residual": float(cert.residual),
-                "method": cert.method,
-                "sigma": sigma,
-                "sigma_multiple": tag,
-            }
-        )
-    report["transfers"] = entries
-    if not args.json:
-        for e in entries:
-            lines.append(
-                f"PST {e['source']} -> {e['target']} at t = {e['time']!r} "
-                f"(phase {e['phase']:+d}, residual {e['residual']:.2e}, {e['method']})"
-            )
-            lines.append(f"  t {_sigma_note(e['sigma_multiple'], sigma)}")
+    p, q = (0, 1) if first is None else (first.numerator, first.denominator)
+    # one lazy pass, walked by whichever of the report and the text is written
+    tagged = ((c, None if first is None else f"{p + m * q}/{q}") for m, c in enumerate(certs))
+    report["transfers"] = (
+        {"source": c.source, "target": c.target, "time": float(c.time), "phase": c.phase,
+         "residual": float(c.residual), "method": c.method, "sigma": sigma, "sigma_multiple": tag}
+        for c, tag in tagged
+    )
+    lines.append(
+        f"PST {c.source} -> {c.target} at t = {float(c.time)!r} (phase {c.phase:+d}, "
+        f"residual {float(c.residual):.2e}, {c.method})\n  t {_sigma_note(tag, sigma)}"
+        for c, tag in tagged
+    )
     if not certs:
         if args.time is not None:
             lines.append(
@@ -388,12 +409,11 @@ def _cmd_mst(args, g, report, lines) -> bool:
 
 def _cmd_autos(args, g, report, lines) -> bool:
     autos = find_switching_automorphisms(g)
-    entries = [{"perm": list(p.perm), "signs": list(p.signs), "order": p.order} for p in autos]
-    report["automorphisms"] = entries
+    report["automorphisms"] = (
+        {"perm": list(p.perm), "signs": list(p.signs), "order": p.order} for p in autos
+    )
     lines.append(f"found {len(autos)} switching automorphisms")
-    if not args.json:
-        for e in entries:
-            lines.append(f"  perm={e['perm']} signs={e['signs']} order={e['order']}")
+    lines.append(f"  perm={list(p.perm)} signs={list(p.signs)} order={p.order}" for p in autos)
     return bool(autos)
 
 
@@ -401,31 +421,26 @@ def _cmd_evolve(args, g, report, lines) -> bool:
     sd = decompose(g)
     times = np.linspace(0.0, args.t_max, args.steps)
     cols = propagator_column(sd, args.source, times[:, None])
-    rows = np.column_stack([times, (cols.conjugate() * cols).real.T]).tolist()
-    for t, *probs in rows:
-        if abs((total := math.fsum(probs)) - 1.0) > 1e-9:
+    table = np.column_stack([times, (cols.conjugate() * cols).real.T])
+    for t, *probs in map(np.ndarray.tolist, table):
+        if not abs((total := math.fsum(probs)) - 1.0) <= 1e-9:
             raise VerificationFailedError(f"probabilities at t = {t!r} sum to {total!r}, not 1")
     report["evolution"] = {
         "source": args.source,
         "t_max": float(args.t_max),
         "steps": args.steps,
         "columns": ["t"] + [f"p_{i}" for i in range(g.n)],
-        "rows": rows,
+        "rows": map(np.ndarray.tolist, table),
     }
     lines.append(",".join(["t"] + [f"p_{i}" for i in range(g.n)]))
-    for row in rows:
-        lines.append(",".join(_format_float(x) for x in row))
+    lines.append(",".join(map(_format_float, row)) for row in map(np.ndarray.tolist, table))
     return True
 
 
 def _cmd_example(args, report, lines) -> bool:
     g = builtin_example(args.name)
     text = serialize_graph(g)
-    report["graph"] = {
-        "name": args.name,
-        "n": g.n,
-        "edges": [[u, v] for u, v in g.edges],
-    }
+    report["graph"] = _graph_section(args.name, g)
     report["graph_text"] = text
     lines.append(text.rstrip("\n"))
     return True
@@ -592,31 +607,31 @@ def main(argv: list[str] | None = None) -> int:
             "grouping": float(DEFAULT_GROUPING_TOL),
         },
     }
-    lines: list[str] = []
+    lines: list = []  # each a line, or an iterable of lines
     try:
         _check_options(args)
         if args.command == "example":
             found = _cmd_example(args, report, lines)
         else:
             g, label = _load_graph(args.graph)
-            report["graph"] = {
-                "name": label,
-                "n": g.n,
-                "edges": [[u, v] for u, v in g.edges],
-            }
+            report["graph"] = _graph_section(label, g)
             if not args.json:
                 lines.append(f"graph {label}: n = {g.n}, edges = {len(g.edges)}")
             found = _COMMANDS[args.command]["run"](args, g, report, lines)
+        write = sys.stdout.write
+        if args.json:
+            _write_json(write, report)
+            write("\n")
+        else:
+            for block in lines:
+                for line in (block,) if isinstance(block, str) else block:
+                    write(line + "\n")
     except InputError as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 2
     except OwalkError as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 3
-    if args.json:
-        print(_emit_json(report))
-    else:
-        print("\n".join(lines))
     return 0 if found or not args.strict else 1
 
 

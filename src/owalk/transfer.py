@@ -190,20 +190,21 @@ def scan_pst(
     v_r0 = q_r0 - t*y_r0/pi must be an integer, so the only candidate times are
     t*|y_r0|/pi = offset + j for integers j >= 0, K = sigma*|y_r0|/pi of them per period.
     In blocks of SCAN_BLOCK, the parity test of ``first_char_check`` keeps the j < K
-    where every v_r shares one parity, ``verify_pst``'s criteria verify the kept times as
-    solved, and each verified j recurs as j + iK; a recurrence that fails verification
-    raises VerificationFailedError.  A ``tol`` outside (0, 1), a ``t_max`` past
-    ``verify_pst``'s time bound (both checked first), or more than ``grid`` candidate
-    times raises InputError instead of a short scan.  Certificates are sorted by time.
+    where every v_r shares one parity, and ``verify_pst``'s criteria verify a kept j at the
+    time as solved, in one product with the first block of its progression j + iK.  A j that
+    fails is dropped with its progression; once one passes, a member that fails raises
+    VerificationFailedError.  A ``tol`` outside (0, 1), a ``t_max`` past ``verify_pst``'s
+    time bound (both checked first), or more than ``grid`` candidate times raises
+    InputError instead of a short scan.  Certificates are sorted by time, in a list whose
+    ``period`` is the periodicity certificate of a (None if a is aperiodic or the pair is
+    not strongly cospectral).
     """
     _check_tol(tol)
     _check_time(sd, t_max, tol)
     cospec = strong_cospectrality(sd, a, b, tol=tol)
-    if cospec is None:
-        return []
-    period = is_periodic(sd, eigenvalue_support(sd, a))
+    period = None if cospec is None else is_periodic(sd, eigenvalue_support(sd, a))
     if period is None:
-        return []
+        return _Events(None)
     y = sd.eigenvalues
     r0 = min(period.b_coeffs, key=lambda r: abs(y[r]))
     y0 = abs(float(y[r0]))
@@ -221,25 +222,36 @@ def scan_pst(
     q, ys = np.array([cospec.quarrels[r] for r in half]), y[half]
     count = math.floor(span) + 1
     per_period = (2 if period.phase == 1 else 1) * period.b_coeffs[r0] // period.g  # K
-    certificates: list[TransferCertificate] = []
-    for start in range(0, min(per_period, count), SCAN_BLOCK):
-        taus = math.pi * (offset + np.arange(start, min(start + SCAN_BLOCK, per_period, count))) / y0
-        kept = taus[_parity_of(q - taus[:, None] * ys / math.pi) >= 0]
-        if kept.size:
-            certificates += _verify_times(sd, a, b, kept.tolist(), tol, "scan")
-    # two transfer times differ by a period (module docstring), so one j < K is verified
-    j = round(certificates[0].time * y0 / math.pi - offset) if certificates else count
-    for start in range(j + per_period, count, per_period * SCAN_BLOCK):
-        index = np.arange(start, min(start + per_period * SCAN_BLOCK, count), per_period)
-        times = (math.pi * (offset + index) / y0).tolist()
-        certs = _verify_times(sd, a, b, times, tol, "scan")
-        if len(certs) < len(times):
-            missed = min(set(times) - {c.time for c in certs})
-            raise VerificationFailedError(
-                f"PST {a} -> {b} recurs at t = {missed!r} by the period, yet fails its check"
-            )
-        certificates += certs
-    return certificates
+    for block in range(0, min(per_period, count), SCAN_BLOCK):
+        index = np.arange(block, min(block + SCAN_BLOCK, per_period, count))
+        taus = math.pi * (offset + index) / y0
+        for j in index[_parity_of(q - taus[:, None] * ys / math.pi) >= 0].tolist():
+            # two transfer times differ by a period (module docstring), so j's class is all
+            certificates = _Events(period)
+            for start in range(j, count, per_period * SCAN_BLOCK):
+                members = np.arange(start, min(start + per_period * SCAN_BLOCK, count), per_period)
+                times = (math.pi * (offset + members) / y0).tolist()
+                certs = _verify_times(sd, a, b, times, tol, "scan")
+                if start == j and not (certs and certs[0].time == times[0]):
+                    break  # j fails its check, so neither it nor its progression is an event
+                if len(certs) < len(times):
+                    missed = min(set(times) - {c.time for c in certs})
+                    raise VerificationFailedError(
+                        f"PST {a} -> {b} recurs at t = {missed!r} by the period, yet fails its check"
+                    )
+                certificates += certs
+            if certificates:
+                return certificates
+    return _Events(period)
+
+
+class _Events(list):
+    """``scan_pst``'s certificates with the source's ``period``, so that a caller tags
+    them by sigma without deciding periodicity again."""
+
+    def __init__(self, period: PeriodicityCertificate | None) -> None:
+        super().__init__()
+        self.period = period
 
 
 def complete_char(

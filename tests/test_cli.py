@@ -2,8 +2,11 @@ import argparse
 import io
 import json
 import math
+import os
 import subprocess
 import sys
+import tracemalloc
+from collections.abc import Iterator
 from contextlib import redirect_stderr, redirect_stdout
 from fractions import Fraction
 
@@ -13,6 +16,7 @@ import pytest
 import owalk.arithmetic
 import owalk.autos
 import owalk.errors
+import owalk.periodicity
 from owalk import serialize_graph
 import owalk.cli
 import owalk.transfer
@@ -414,6 +418,85 @@ def test_char_poly_computed_lazily_and_once(tmp_path, monkeypatch):
     assert calls == [27]
 
 
+def test_pst_scan_decides_periodicity_once(monkeypatch, capsys):
+    # the scan's periodicity certificate gives the report its sigma
+    calls = []
+    real = owalk.periodicity.is_periodic
+
+    def counting(sd, support):
+        calls.append(support.vertex)
+        return real(sd, support)
+
+    monkeypatch.setattr(owalk.transfer, "is_periodic", counting)
+    monkeypatch.setattr(owalk.cli, "is_periodic", counting)
+    assert main(["pst", "k3", "0", "1", "--scan", "--t-max", "20000"]) == 0
+    assert calls == [0]
+    assert capsys.readouterr().out.count("= (") == 5513
+
+
+@pytest.mark.parametrize("strict, code", [([], 0), (["--strict"], 1)])
+def test_pst_scan_of_a_periodic_source_short_of_its_first_event(capsys, strict, code):
+    # k3 0 -> 1 first transfers at t = 4*pi/(3*sqrt(3)) = 1.209..., past t_max
+    argv = ["pst", "k3", "0", "1", "--t-max", "1", *strict]
+    assert main(argv) == code
+    assert capsys.readouterr() == (
+        "graph k3: n = 3, edges = 3\nno perfect state transfer 0 -> 1 for t in (0, 1.0]\n", ""
+    )
+    assert main(argv + ["--json"]) == code
+    out, err = capsys.readouterr()
+    assert json.loads(out)["transfers"] == [] and err == ""
+
+
+def test_non_finite_value_in_a_report_exits_3(monkeypatch, capsys):
+    # formatting a report refuses a non-finite number, as a failed check does
+    def spoiled(args, g, report, lines):
+        report["periodicity"] = [{"vertex": args.vertex, "sigma": float("nan")}]
+        return True
+
+    monkeypatch.setitem(owalk.cli._COMMANDS["periodic"], "run", spoiled)
+    assert main(["periodic", "k3", "0", "--json"]) == 3
+    err = capsys.readouterr().err
+    assert err == "error: VerificationFailedError: report contains a non-finite number\n"
+
+
+@pytest.mark.parametrize(
+    "factor, total", [(1.1, "1.21"), (math.sqrt(1 + 5e-9), "1.00000000500"), (math.nan, "nan")]
+)
+def test_failed_check_leaves_stdout_empty(monkeypatch, capsys, factor, total):
+    # every check runs before the first byte is written, lazy rows or not
+    real = owalk.cli.propagator_column
+    monkeypatch.setattr(owalk.cli, "propagator_column", lambda sd, a, t: factor * real(sd, a, t))
+    for mode in ([], ["--json"]):
+        assert main(["evolve", "k3", "--source", "0", "--t-max", "3", "--steps", "7", *mode]) == 3
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith(
+            f"error: VerificationFailedError: probabilities at t = 0.0 sum to {total}"
+        ), err
+
+
+@pytest.mark.parametrize("mode", [[], ["--json"]], ids=["text", "json"])
+@pytest.mark.parametrize(
+    "argv, bound",
+    [
+        (["pst", "k3", "0", "1", "--scan", "--t-max", "20000"], 2e6),
+        (["evolve", "mst8", "--source", "0", "--t-max", "100", "--steps", "20000"], 8e6),
+    ],
+    ids=["pst", "evolve"],
+)
+def test_long_reports_are_written_as_they_are_formatted(argv, bound, mode):
+    # 5 513 events (1.3 MB of JSON over 1.03 MB of certificates) and 20 000 rows of
+    # 9 probabilities (4.1 MB): written row by row, neither report is held whole
+    with open(os.devnull, "w") as sink, redirect_stdout(sink):
+        tracemalloc.start()
+        try:
+            assert main(argv + mode) == 0
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    assert peak <= bound, peak
+
+
 def limit_denominator_oracle(t, sigma):
     """Sigma multiple of t by the closest fraction with q <= 10^6, then the gate."""
     ratio = Fraction(t) / Fraction(sigma)
@@ -610,22 +693,38 @@ def test_plain_invocations_build_no_parser(tmp_path, monkeypatch, capsys):
 # --- report serializer ------------------------------------------------------
 
 
+def _recorded(obj):
+    """``obj`` with each iterator replaced by one that keeps the items it hands out,
+    and ``obj`` with the lists they fill in place of the iterators."""
+    if isinstance(obj, dict):
+        pairs = {key: _recorded(value) for key, value in obj.items()}
+        return {k: v for k, (v, _) in pairs.items()}, {k: r for k, (_, r) in pairs.items()}
+    if isinstance(obj, Iterator):
+        items = []
+        return (items.append(item) or item for item in obj), items
+    return obj, obj
+
+
 def _reports(argvs, monkeypatch):
-    """The report objects main serializes for each argv, and the text it printed."""
+    """The report main writes for each argv, materialized as it was written, and the
+    text it printed."""
     captured = []
-    real = owalk.cli._emit_json
+    real = owalk.cli._write_json
 
-    def recording(obj, indent=0):
-        captured.append(obj)  # the first call of each run gets the whole report
-        return real(obj, indent)
+    def recording(write, obj, indent=0):
+        if indent == 0:  # the whole report; nested calls write its parts
+            obj, record = _recorded(obj)
+            captured.append(record)
+        real(write, obj, indent)
 
-    monkeypatch.setattr(owalk.cli, "_emit_json", recording)
+    monkeypatch.setattr(owalk.cli, "_write_json", recording)
     for argv in argvs:
         captured.clear()
         out = io.StringIO()
         with redirect_stdout(out):
             main([*argv, "--json"])
-        yield argv, captured[0], out.getvalue()
+        (report,) = captured
+        yield argv, report, out.getvalue()
 
 
 def test_emit_json_matches_reference_on_golden_reports(monkeypatch):
@@ -649,6 +748,7 @@ def test_emit_json_matches_reference_on_large_reports(tmp_path, monkeypatch):
     for argv, report, printed in _reports(argvs, monkeypatch):
         text = _emit_json(report)
         assert text == reference_emit_json(report), argv
+        assert printed == text + "\n", argv
         sizes.append(len(printed))
     assert min(sizes) > 50_000 and max(sizes) > 1_000_000, sizes
 

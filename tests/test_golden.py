@@ -1,27 +1,33 @@
-"""Golden ``--json`` reports of the CLI on the builtin examples.
+"""Golden reports of the CLI on the builtin examples, with ``--json`` and as text.
 
-Each report is compared field by field with its recording under
-``tests/golden/``.  Every field must match exactly, except ``residual``
-values, which may move by at most 1e-15 (they are norms of differences
-near rounding level and depend on the order of floating-point sums).
+Each ``--json`` report is compared field by field with its recording
+under ``tests/golden/`` (``<slug>.json``).  Every field must match
+exactly, except ``residual`` values, which may move by at most 1e-15
+(they are norms of differences near rounding level and depend on the
+order of floating-point sums).  Each text report is compared line by line
+with ``<slug>.txt``, with the figure after every ``residual`` masked for
+the same reason.
 
 After a deliberate change of the reports, regenerate the recordings with
 
     PYTHONPATH=src python tests/test_golden.py [slug ...]
 
-which rewrites only the named recordings (file names without ``.json``),
+which rewrites only the named recordings (file names without extension),
 or all of them when no slug is given.  To account for such a change first,
 
     PYTHONPATH=src python tests/test_golden.py --account [slug ...]
 
 prints every leaf that differs from its recording (slug, path, old value,
-new value and, between two floats, their distance in ulp) and rewrites
+new value and, between two floats, their distance in ulp) and every text
+line that differs (slug, line number, old line, new line), and rewrites
 nothing.
 """
 
 import io
+import itertools
 import json
 import math
+import re
 import struct
 import sys
 from contextlib import redirect_stdout
@@ -34,6 +40,7 @@ from owalk.cli import main
 GOLDEN_DIR = Path(__file__).parent / "golden"
 RESIDUAL_TOL = 1e-15
 TAU_K3 = repr(2 * math.pi / (3 * math.sqrt(3)))
+RESIDUAL_FIGURE = re.compile(r"(?<=residual )[-+.0-9e]+")
 
 COMMANDS = [
     ["spectrum", "k3"],
@@ -73,10 +80,20 @@ def _slug(argv):
 
 
 def _run(argv):
+    code, text = _run_text([*argv, "--json"])
+    return code, json.loads(text)
+
+
+def _run_text(argv):
     out = io.StringIO()
     with redirect_stdout(out):
-        code = main([*argv, "--json"])
-    return code, json.loads(out.getvalue())
+        code = main(argv)
+    return code, out.getvalue()
+
+
+def _masked(text):
+    """The lines of a text report with every residual figure masked."""
+    return RESIDUAL_FIGURE.sub("*", text).splitlines()
 
 
 def _compare(got, want, path="$"):
@@ -129,12 +146,30 @@ def _account(slug, recorded, record):
     return moved
 
 
+def _account_text(slug, recorded, text):
+    """Print each line of ``text`` that differs from ``recorded``; return how many."""
+    moved = 0
+    pairs = itertools.zip_longest(recorded.splitlines(), text.splitlines(), fillvalue="<absent>")
+    for number, (before, after) in enumerate(pairs, 1):
+        if before != after:
+            print(slug, f"line {number}", repr(before), repr(after))
+            moved += 1
+    return moved
+
+
 @pytest.mark.parametrize("argv", COMMANDS, ids=_slug)
 def test_report_matches_golden(argv):
     recorded = json.loads((GOLDEN_DIR / f"{_slug(argv)}.json").read_text())
     code, report = _run(argv)
     assert code == recorded["exit_code"]
     _compare(report, recorded["report"])
+
+
+@pytest.mark.parametrize("argv", COMMANDS, ids=_slug)
+def test_text_report_matches_golden(argv):
+    recorded = (GOLDEN_DIR / f"{_slug(argv)}.txt").read_text()
+    _, text = _run_text(argv)
+    assert _masked(text) == _masked(recorded)
 
 
 if __name__ == "__main__":
@@ -150,10 +185,13 @@ if __name__ == "__main__":
             continue
         code, report = _run(argv)
         record = {"argv": argv, "exit_code": code, "report": report}
-        path = GOLDEN_DIR / f"{_slug(argv)}.json"
+        _, text = _run_text(argv)
+        path, text_path = (GOLDEN_DIR / f"{_slug(argv)}{suffix}" for suffix in (".json", ".txt"))
         if account:
             moved += _account(_slug(argv), json.loads(path.read_text()), record)
+            moved += _account_text(_slug(argv), text_path.read_text(), text)
         else:
             path.write_text(json.dumps(record, indent=1) + "\n")
+            text_path.write_text(text)
     if account:
-        print(f"{moved} leaves differ")
+        print(f"{moved} leaves and lines differ")

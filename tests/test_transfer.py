@@ -327,6 +327,47 @@ def test_scan_raises_when_a_transfer_does_not_recur(monkeypatch, k3_sd):
         scan_pst(k3_sd, 0, 1, t_max=20.0)
 
 
+def test_scan_verifies_a_kept_candidate_with_the_first_block_of_its_progression(
+    monkeypatch, k3_sd
+):
+    # one product takes the kept j and the next SCAN_BLOCK - 1 members of j + iK,
+    # so k3's 5 513 events take 6 products of at most 1024 times
+    sizes = []
+    real = owalk.transfer.propagator_column
+
+    def counting(sd, a, t):
+        sizes.append(len(t))
+        return real(sd, a, t)
+
+    monkeypatch.setattr(owalk.transfer, "propagator_column", counting)
+    assert len(scan_pst(k3_sd, 0, 1, t_max=20000.0)) == 5513
+    assert sizes == [1024] * 5 + [393]
+
+
+@pytest.mark.parametrize("spoiled", [0, 1, 1023, 1024, 5512])
+def test_scan_drops_a_failed_candidate_and_raises_on_a_failed_member(
+    monkeypatch, k3_sd, spoiled
+):
+    # a kept candidate that fails its check is no event, nor is any member of its
+    # progression, though they share its product; once it passes, a member that
+    # fails is an inconsistency, in its first product or a later one
+    events = scan_pst(k3_sd, 0, 1, t_max=20000.0)
+    products = []
+    real = owalk.transfer._verify_times
+
+    def spoiling(sd, a, b, times, tol, method):
+        products.append(times)
+        return [c for c in real(sd, a, b, times, tol, method) if c.time != events[spoiled].time]
+
+    monkeypatch.setattr(owalk.transfer, "_verify_times", spoiling)
+    if spoiled == 0:
+        assert scan_pst(k3_sd, 0, 1, t_max=20000.0) == []
+        assert len(products) == 1 and products[0][0] == events[0].time
+        return
+    with pytest.raises(VerificationFailedError, match=re.escape(repr(events[spoiled].time))):
+        scan_pst(k3_sd, 0, 1, t_max=20000.0)
+
+
 def test_scan_verifies_every_recurrence_up_to_the_time_bound(k3_sd):
     # up to the longest time _check_time admits for tol = 1e-9, the phases round
     # by less than tol, so every member of the progression verifies
