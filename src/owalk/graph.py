@@ -11,12 +11,15 @@ Graph file grammar (one directive per line, ``#`` starts a comment):
     e <tail> <head>
 
 The ``n`` line must come before any ``e`` line.  Serialization emits the
-edge list sorted lexicographically by (tail, head).
+edge list sorted lexicographically by (tail, head).  A graph is a frozen value, equal
+by (n, edges); copies and pickles rebuild it through its constructor's checks.
 """
 
 from __future__ import annotations
 
-from typing import Iterable, Sequence
+import operator
+from dataclasses import dataclass, field
+from typing import Sequence
 
 import numpy as np
 
@@ -40,26 +43,33 @@ __all__ = [
 ]
 
 
+@dataclass(frozen=True, slots=True)
 class OrientedGraph:
     """Immutable oriented graph on vertices 0..n-1.
 
-    Attributes
-    ----------
-    n : int
-        Number of vertices.
-    edges : tuple of (int, int)
-        Oriented edges (tail, head), stored sorted lexicographically.
+    ``edges`` holds the oriented edges (tail, head) sorted lexicographically, and
+    ``adjacency`` the read-only skew-symmetric matrix with entries in {-1, 0, 1}.
+    ``n`` and every endpoint are read through ``operator.index``, so a float, a
+    string or an edge that is not a pair raises InputError.
     """
 
-    __slots__ = ("n", "edges", "_adjacency")
+    n: int
+    edges: tuple[tuple[int, int], ...]
+    adjacency: np.ndarray = field(init=False, repr=False, compare=False)
 
-    def __init__(self, n: int, edges: Iterable[tuple[int, int]]):
+    def __post_init__(self) -> None:
+        try:
+            n = operator.index(self.n)
+        except TypeError:
+            raise InputError(f"vertex count {self.n!r} is not an integer") from None
         if n < 0:
             raise VertexOutOfRangeError(f"vertex count must be nonnegative, got {n}")
-        seen: set[frozenset[int]] = set()
-        checked: list[tuple[int, int]] = []
-        for u, v in edges:
-            u, v = int(u), int(v)
+        pairs: dict[frozenset[int], tuple[int, int]] = {}  # {u, v} -> (u, v)
+        for edge in self.edges:
+            try:
+                u, v = map(operator.index, edge)
+            except (TypeError, ValueError):  # ValueError: not two endpoints
+                raise InputError(f"edge {edge!r} is not a pair of integers") from None
             if not (0 <= u < n and 0 <= v < n):
                 raise VertexOutOfRangeError(
                     f"edge ({u}, {v}) leaves the vertex range [0, {n})"
@@ -67,43 +77,26 @@ class OrientedGraph:
             if u == v:
                 raise SelfLoopError(f"edge ({u}, {v}) is a self loop")
             key = frozenset((u, v))
-            if key in seen:
+            if key in pairs:
                 raise DuplicateEdgeError(
                     f"vertex pair {{{min(u, v)}, {max(u, v)}}} appears more than once"
                 )
-            seen.add(key)
-            checked.append((u, v))
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "edges", tuple(sorted(checked)))
+            pairs[key] = u, v
         try:
             a = np.zeros((n, n), dtype=np.int64)
         except (MemoryError, ValueError):  # ValueError: past numpy's largest array size
             raise InputError(
                 f"the {n} x {n} adjacency matrix of n = {n} vertices cannot be allocated"
             ) from None
-        for u, v in checked:
-            a[u, v] = 1
-            a[v, u] = -1
+        for u, v in pairs.values():
+            a[u, v], a[v, u] = 1, -1
         a.setflags(write=False)
-        object.__setattr__(self, "_adjacency", a)
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "edges", tuple(sorted(pairs.values())))
+        object.__setattr__(self, "adjacency", a)
 
-    def __setattr__(self, name, value):
-        raise AttributeError("OrientedGraph is immutable")
-
-    @property
-    def adjacency(self) -> np.ndarray:
-        """Read-only skew-symmetric adjacency matrix with entries in {-1, 0, 1}."""
-        return self._adjacency
-
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, OrientedGraph)
-            and self.n == other.n
-            and self.edges == other.edges
-        )
-
-    def __hash__(self) -> int:
-        return hash((self.n, self.edges))
+    def __reduce__(self):
+        return OrientedGraph, (self.n, self.edges)
 
     def __repr__(self) -> str:
         return f"OrientedGraph(n={self.n}, edges={list(self.edges)})"

@@ -69,19 +69,12 @@ def is_periodic(
     profile = arithmetic.quadratic_integer_profile(squares, poly=lambda: sd.char_poly)
     if profile is None:
         return None
-    delta, _ = profile
-    b_coeffs: dict[int, int] = {}
-    for r, sq in zip(nonzero, squares):
-        c = round(sq)
-        b_coeffs[r] = math.isqrt(c // delta)
+    delta, b_values = profile
+    b_of = {b * b * delta: b for b in b_values}  # c = b^2 * Delta -> b, as recognized
+    b_coeffs = {r: b_of[round(sq)] for r, sq in zip(nonzero, squares)}
     gcd_b = math.gcd(*b_coeffs.values())
-    all_odd = all((b // gcd_b) % 2 == 1 for b in b_coeffs.values())
-    if not zero_in_support and all_odd:
-        phase = -1
-        sigma = math.pi / (gcd_b * math.sqrt(delta))
-    else:
-        phase = +1
-        sigma = 2.0 * math.pi / (gcd_b * math.sqrt(delta))
+    phase = -1 if not zero_in_support and all(b // gcd_b % 2 for b in b_coeffs.values()) else +1
+    sigma = (1.0 if phase == -1 else 2.0) * math.pi / (gcd_b * math.sqrt(delta))
     return PeriodicityCertificate(
         vertex=support.vertex,
         delta=delta,

@@ -65,6 +65,12 @@ class SpectralDecomposition:
     vectors: np.ndarray              # orthonormal, n x n, read-only
     starts: np.ndarray               # V_r = vectors[:, starts[r]:starts[r+1]]
 
+    def __post_init__(self) -> None:
+        self.vectors.setflags(write=False)
+
+    def __reduce__(self):  # copies and pickles rebuild through __post_init__
+        return SpectralDecomposition, (self.graph, self.eigenvalues, self.vectors, self.starts)
+
     @property
     def n(self) -> int:
         return self.graph.n
@@ -112,7 +118,6 @@ def decompose(g: OrientedGraph) -> SpectralDecomposition:
     clusters = cluster_values(mu, tol_abs)
     eigenvalues = np.array([np.mean(mu[cluster]) for cluster in clusters])
     eigenvalues[abs(eigenvalues) < tol_abs] = 0.0
-    vec.setflags(write=False)
     return SpectralDecomposition(
         graph=g,
         eigenvalues=eigenvalues,

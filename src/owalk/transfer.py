@@ -102,7 +102,6 @@ def verify_pst(
     b: int,
     tau: float,
     tol: float = DEFAULT_PST_TOL,
-    method: str = "direct",
 ) -> TransferCertificate | None:
     """Certificate that U(tau) e_a = phase * e_b, or None.
 
@@ -114,7 +113,7 @@ def verify_pst(
     _check_vertex(sd.n, a, b)
     _check_tol(tol)
     _check_time(sd, tau, tol)
-    return next(iter(_verify_times(sd, a, b, [tau], tol, method)), None)
+    return next(iter(_verify_times(sd, a, b, [tau], tol, "direct")), None)
 
 
 def _verify_times(

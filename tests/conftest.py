@@ -1,5 +1,6 @@
 import argparse
 import cmath
+import dataclasses
 import json
 import math
 import random
@@ -340,9 +341,9 @@ def scalar_scan_pst(sd, a, b, t_max, grid=MAX_SCAN_CANDIDATES, tol=DEFAULT_PST_T
             continue
         if certificates and abs(tau - certificates[-1].time) < 1e-8:
             continue
-        cert = verify_pst(sd, a, b, tau, tol, method="scan")
+        cert = verify_pst(sd, a, b, tau, tol)
         if cert is not None:
-            certificates.append(cert)
+            certificates.append(dataclasses.replace(cert, method="scan"))
     return certificates
 
 

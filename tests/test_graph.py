@@ -138,3 +138,24 @@ def test_unallocatable_vertex_count_is_an_input_error(n):
     # state the size), and the error names the vertex count
     with pytest.raises(InputError, match=str(n)):
         build_graph(n, [])
+
+
+@pytest.mark.parametrize(
+    "n, edges",
+    [
+        (3, [(0, 1.9)]),  # int() would truncate it to the edge (0, 1)
+        (3, [("0", "2")]),  # int() would parse it as the edge (0, 2)
+        (2.0, [(0, 1)]),  # numpy refuses a float shape with a bare TypeError
+        (3, [(0, 1, 2)]),  # unpacking refuses it with a bare ValueError
+    ],
+)
+def test_non_integer_input_is_an_input_error(n, edges):
+    with pytest.raises(InputError, match="not an integer|not a pair of integers"):
+        build_graph(n, edges)
+
+
+def test_numpy_integers_and_bools_are_vertices():
+    g = build_graph(np.int64(3), [(np.int32(0), True), (np.uint8(1), 2)])
+    assert g == build_graph(3, [(0, 1), (1, 2)])
+    assert type(g.n) is int
+    assert all(type(x) is int for edge in g.edges for x in edge)

@@ -10,12 +10,15 @@ as ``x.name`` in ``src/owalk`` or named so in the README.
 """
 
 import ast
+import copy
 import inspect
+import pickle
 import re
 import signal
 from contextlib import contextmanager
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import owalk
@@ -199,3 +202,60 @@ def test_every_tol_parameter_refuses_a_tol_outside_0_1(tol):
         assert not missing, f"{name}: give this test an argument for {missing}"
         with pytest.raises(InputError, match="tol must be a finite number in"):
             fn(**args, tol=tol)
+
+
+COPIES = {
+    "copy": copy.copy,
+    "deepcopy": copy.deepcopy,
+    "pickle": lambda x: pickle.loads(pickle.dumps(x)),
+}
+
+
+@pytest.mark.parametrize("how", COPIES)
+def test_every_exported_value_type_survives_copy_and_pickle(how):
+    # graphs and decompositions are rebuilt through their constructors' checks, so a
+    # copy keeps read-only arrays and gives the same answers; every exported value
+    # type comes back equal, which a process pool needs
+    sd = owalk.decompose(owalk.builtin_example("mst8"))
+    mst = owalk.mst_search(sd)[0]
+    a, b = mst.orbit[0], mst.orbit[1]
+    support = owalk.eigenvalue_support(sd, a)
+    values = {
+        "OrientedGraph": sd.graph,
+        "SpectralDecomposition": sd,
+        "EigenvalueSupport": support,
+        "CospectralityCertificate": owalk.strong_cospectrality(sd, a, b),
+        "PeriodicityCertificate": owalk.is_periodic(sd, support),
+        "TransferCertificate": owalk.scan_pst(sd, a, b)[0],
+        "MSTCertificate": mst,
+        "SwitchingAutomorphism": mst.automorphism,
+        "IntPolynomial": sd.char_poly,
+    }
+    exported = {name: getattr(owalk, name) for name in owalk.__all__}
+    classes = {n for n, c in exported.items() if inspect.isclass(c) and not issubclass(c, Exception)}
+    assert values.keys() == classes, "give this test one value of every exported class"
+    for name, value in values.items():
+        assert type(value).__name__ == name
+        copied = COPIES[how](value)
+        assert type(copied) is type(value)
+        if name == "SpectralDecomposition":
+            assert copied.graph == value.graph
+            for field in ("eigenvalues", "vectors", "starts"):
+                assert np.array_equal(getattr(copied, field), getattr(value, field)), field
+        else:
+            assert copied == value, name
+    g2 = COPIES[how](sd.graph)
+    assert hash(g2) == hash(sd.graph) and type(g2.n) is int
+    assert not g2.adjacency.flags.writeable
+    with pytest.raises(ValueError):
+        g2.adjacency[0, 1] = 5
+    sd2 = COPIES[how](sd)
+    assert not sd2.vectors.flags.writeable and not sd2.graph.adjacency.flags.writeable
+    with pytest.raises(ValueError):
+        sd2.vectors[0, 0] = 0.0
+    for a, b in [(0, 1), (0, 6), (2, 3)]:
+        assert owalk.is_periodic(sd2, owalk.eigenvalue_support(sd2, a)) == owalk.is_periodic(
+            sd, owalk.eigenvalue_support(sd, a)
+        )
+        assert owalk.scan_pst(sd2, a, b) == owalk.scan_pst(sd, a, b)
+
